@@ -7,7 +7,7 @@ whitespace-separated integer row per line; ``#`` starts a comment.
 
 Exit codes: 0 on success, 1 for usage or input errors, 2 when the input is
 valid but outside the supported domain (non-simplicial cone, non-homogeneous
-semigroup, redundant generators), reported in machine-readable form.
+semigroup), reported in machine-readable form.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import (
     InvalidCharacteristicError,
     MonoalgError,
     NonIntegerError,
-    NonMinimalGeneratorsError,
     NotHomogeneousError,
     NotSimplicialError,
     PreconditionError,
@@ -203,8 +202,12 @@ def _read_semigroup(args) -> tuple[AffineSemigroup, InputDocument]:
 def _emit(args, doc: dict, text_lines: list[str]) -> None:
     if args.json:
         sys.stdout.write(canonical_json(doc))
-    else:
-        sys.stdout.write("\n".join(text_lines) + "\n")
+        return
+    if "hilbert_verify" in doc:
+        hv = doc["hilbert_verify"]
+        text_lines = text_lines + [
+            f"degree counts match up to t={hv['t_max']}: {hv['ok']}"]
+    sys.stdout.write("\n".join(text_lines) + "\n")
 
 
 def _header_lines(semigroup: AffineSemigroup, doc: InputDocument) -> list[str]:
@@ -233,9 +236,6 @@ def _cmd_decompose(args) -> int:
     doc.update(_verify_section(args, semigroup, dec))
     lines = _header_lines(semigroup, indoc) + decomposition_text(dec,
                                                                  args.verbose)
-    if "hilbert_verify" in doc:
-        hv = doc["hilbert_verify"]
-        lines.append(f"degree counts match up to t={hv['t_max']}: {hv['ok']}")
     _emit(args, doc, lines)
     return 0
 
@@ -275,9 +275,6 @@ def _cmd_eg(args) -> int:
     doc.update(_verify_section(args, semigroup, dec))
     lines = [f"reg {report.regularity} <= degree - codim = "
              f"{report.eg_bound}: {'holds' if report.eg_holds else 'VIOLATED'}"]
-    if "hilbert_verify" in doc:
-        hv = doc["hilbert_verify"]
-        lines.append(f"degree counts match up to t={hv['t_max']}: {hv['ok']}")
     _emit(args, doc, lines)
     return 0
 
@@ -298,9 +295,6 @@ def _cmd_analyze(args) -> int:
              + decomposition_text(dec, args.verbose)
              + properties_text(props)
              + regularity_text(reg))
-    if "hilbert_verify" in doc:
-        hv = doc["hilbert_verify"]
-        lines.append(f"degree counts match up to t={hv['t_max']}: {hv['ok']}")
     _emit(args, doc, lines)
     return 0
 
@@ -344,7 +338,6 @@ _HANDLERS = {
 _REASONS = {
     NotSimplicialError: "not_simplicial",
     NotHomogeneousError: "not_homogeneous",
-    NonMinimalGeneratorsError: "non_minimal_generators",
 }
 
 
@@ -360,6 +353,8 @@ def main(argv=None) -> int:
     args = None
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "tmax", 0) < 0:
+            raise _UsageError(f"--tmax must be nonnegative, got {args.tmax}")
         return _HANDLERS[args.command](args)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

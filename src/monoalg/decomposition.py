@@ -145,8 +145,7 @@ def decompose(semigroup: AffineSemigroup) -> Decomposition:
         lams = [frame.coordinates(v) for v in gamma]
         mins = [min(lam[k] for lam in lams) for k in range(d)]
         shift = tuple(
-            _as_int(sum(mins[k] * Fraction(frame.elements[k][i])
-                        for k in range(d)))
+            _as_int(sum(mins[k] * frame.elements[k][i] for k in range(d)))
             for i in range(frame.ambient_dim))
         gens = []
         for lam in lams:

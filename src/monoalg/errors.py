@@ -82,10 +82,6 @@ class NotHomogeneousError(PreconditionError):
     pass
 
 
-class NonMinimalGeneratorsError(PreconditionError):
-    pass
-
-
 # -- lattice / linear algebra -------------------------------------------------
 
 class InfiniteQuotientError(MonoalgError):

@@ -7,22 +7,22 @@ rank of the reduced homology in dimension ``i - 1`` is the Betti number in
 homological index ``i``.  Only multidegrees in the lcm lattice of the
 generators can carry homology, so the computation is finite.
 
-Homology ranks are computed by exact elimination, over Q for characteristic
-zero and over the prime field otherwise.
+Homology ranks are boundary-matrix ranks from the integer elimination kernel
+:func:`.intlinalg.rank`: fraction-free over Z for characteristic zero, mod p
+otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .decomposition import Decomposition, MonomialIdeal, decompose
 from .errors import (
     InvalidCharacteristicError,
-    NonMinimalGeneratorsError,
     NotHomogeneousError,
     NotSimplicialError,
 )
+from .intlinalg import rank
 from .semigroup import AffineSemigroup, Vec, vkey
 
 
@@ -64,42 +64,6 @@ def check_characteristic(char: int) -> None:
         if char % d == 0:
             raise InvalidCharacteristicError(f"{char} is composite")
         d += 1
-
-
-# ---------------------------------------------------------------------------
-# rank of an integer matrix over Q or F_p
-# ---------------------------------------------------------------------------
-
-def matrix_rank(rows: list[list[int]], char: int) -> int:
-    if not rows or not rows[0]:
-        return 0
-    if char == 0:
-        work = [[Fraction(x) for x in row] for row in rows]
-    else:
-        work = [[x % char for x in row] for row in rows]
-    nrows, ncols = len(work), len(work[0])
-    rank = 0
-    for col in range(ncols):
-        sel = next((i for i in range(rank, nrows) if work[i][col] != 0), None)
-        if sel is None:
-            continue
-        work[rank], work[sel] = work[sel], work[rank]
-        pivot = work[rank][col]
-        inv = 1 / pivot if char == 0 else pow(pivot, -1, char)
-        work[rank] = [a * inv if char == 0 else (a * inv) % char
-                      for a in work[rank]]
-        for i in range(nrows):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col]
-                if char == 0:
-                    work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-                else:
-                    work[i] = [(a - f * b) % char
-                               for a, b in zip(work[i], work[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +110,7 @@ def _reduced_homology_dims(faces: list[tuple[int, ...]], char: int) -> dict[int,
             for drop in range(len(face)):
                 sub = face[:drop] + face[drop + 1:]
                 mat[index[dim - 1][sub]][j] = -1 if drop % 2 else 1
-        return matrix_rank(mat, char)
+        return rank(mat, char)
 
     ranks = {dim: boundary_rank(dim) for dim in range(0, top + 2)}
     dims = {}
@@ -213,8 +177,9 @@ def analyze(semigroup: AffineSemigroup, char: int = 0,
             dec: Decomposition | None = None) -> RegularityReport:
     """Regularity, degree, codimension, depth, and the degree bound check.
 
-    Requires a simplicial, homogeneous semigroup given by its minimal
-    generators; the frame elements then all have degree one.
+    Requires a simplicial, homogeneous semigroup.  Every generator then has
+    degree one, so distinct generators are automatically minimal (none is a
+    sum of others) and the frame elements all have degree one.
     """
     check_characteristic(char)
     if not semigroup.is_simplicial():
@@ -222,10 +187,6 @@ def analyze(semigroup: AffineSemigroup, char: int = 0,
     functional = semigroup.degree_functional()
     if functional is None:
         raise NotHomogeneousError("regularity needs a homogeneous semigroup")
-    redundant = semigroup.minimalize_check()
-    if redundant:
-        raise NonMinimalGeneratorsError(
-            f"generators at indices {list(redundant)} are redundant")
     if dec is None:
         dec = decompose(semigroup)
     for e in dec.frame.elements:

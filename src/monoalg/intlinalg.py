@@ -1,8 +1,10 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything here runs on Python's arbitrary-precision ints and on
-``fractions.Fraction``; no floating point is used anywhere.  Matrices are
-lists of row lists, vectors are tuples.  All functions are pure.
+Ranks, solves and coordinates all come from one fraction-free Gauss-Jordan
+routine, :func:`echelon`, over Z or mod a prime; ``Fraction`` appears only in
+rational results and in the exact simplex.  No floating point is used
+anywhere.  Matrices are lists of row lists, vectors are tuples.  All
+functions are pure.
 
 Conventions fixed project-wide:
 
@@ -14,6 +16,7 @@ Conventions fixed project-wide:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -29,39 +32,6 @@ IntMatrix = list[list[int]]
 
 def identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a and b:
-        assert len(a[0]) == len(b)
-    cols = len(b[0]) if b else 0
-    return [[sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-            for ra in a]
-
-
-def det(mat: IntMatrix) -> int:
-    """Determinant of a square integer matrix, by fraction-free expansion."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    assert all(len(r) == n for r in mat)
-    # Bareiss elimination keeps everything integral.
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            sel = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if sel is None:
-                return 0
-            m[k], m[sel] = m[sel], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -218,42 +188,63 @@ def lattice_basis(vectors: list[Vec] | IntMatrix) -> IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Rational solves
+# Integer Gauss-Jordan elimination
 # ---------------------------------------------------------------------------
 
-def _reduce_augmented(mat: IntMatrix, rhs) -> tuple[list[list[Fraction]], list[int], bool]:
-    """Gauss-Jordan on ``[mat | rhs]``; returns the reduced rows, the pivot
-    columns, and whether the system is consistent."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])]
-           for i, row in enumerate(mat)]
+def _content_free(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
+def _dot(a: Vec, b: Vec) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def echelon(rows: list[Vec] | IntMatrix, char: int = 0) -> tuple[IntMatrix, list[int]]:
+    """Reduced row echelon form of an integer matrix and its pivot columns.
+
+    Only the nonzero rows are returned, one per pivot, so their number is
+    the rank; each is zero in every pivot column but its own.  For
+    ``char == 0`` the elimination is fraction-free over Z: a row is updated
+    by cross-multiplying with the pivot row and then divided by the gcd of
+    its entries, so every returned row is the primitive integer multiple,
+    with positive pivot, of the corresponding rational reduced row.  For a
+    prime ``char`` the entries are residues mod ``char`` and pivots are 1.
+    """
+    work = [[a % char for a in row] if char else list(row) for row in rows]
+    ncols = len(work[0]) if work else 0
     pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        if row == m:
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(work):
             break
-        sel = next((i for i in range(row, m) if aug[i][col] != 0), None)
+        sel = next((i for i in range(r, len(work)) if work[i][col]), None)
         if sel is None:
             continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        pv = aug[row][col]
-        aug[row] = [a / pv for a in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
+        work[r], work[sel] = work[sel], work[r]
+        prow = work[r]
+        if char:
+            inv = pow(prow[col], -1, char)
+            prow = [a * inv % char for a in prow]
+        else:
+            prow = _content_free([-a for a in prow] if prow[col] < 0 else prow)
+        work[r] = prow
+        pv = prow[col]
+        for i, row in enumerate(work):
+            f = row[col]
+            if i == r or not f:
+                continue
+            if char:
+                work[i] = [(a - f * b) % char for a, b in zip(row, prow)]
+            else:
+                work[i] = _content_free([pv * a - f * b for a, b in zip(row, prow)])
         pivots.append(col)
-        row += 1
-    consistent = all(aug[i][n] == 0 for i in range(row, m))
-    return aug, pivots, consistent
+    return work[:len(pivots)], pivots
 
 
-def _solution_from(aug, pivots, n) -> tuple[Fraction, ...]:
-    x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][n]
-    return tuple(x)
+def rank(rows: list[Vec] | IntMatrix, char: int = 0) -> int:
+    """Rank of an integer matrix over Q (``char == 0``) or over F_char."""
+    return len(echelon(rows, char)[1])
 
 
 def solve_rational(mat: IntMatrix, rhs: list[int] | Vec) -> tuple[Fraction, ...] | None:
@@ -264,16 +255,13 @@ def solve_rational(mat: IntMatrix, rhs: list[int] | Vec) -> tuple[Fraction, ...]
     and raises :class:`AmbiguousSolutionError` for dependent columns with a
     consistent right-hand side.
     """
-    n = len(mat[0]) if mat else 0
     if len(rhs) != len(mat):
         # a shape mismatch can never be consistent
         return None
-    aug, pivots, consistent = _reduce_augmented(mat, rhs)
-    if not consistent:
-        return None
-    if len(pivots) < n:
+    sol = solve_rational_canonical(mat, rhs)
+    if sol is not None and rank(mat) < len(sol):
         raise AmbiguousSolutionError("columns are linearly dependent")
-    return _solution_from(aug, pivots, n)
+    return sol
 
 
 def solve_rational_canonical(mat: IntMatrix, rhs: list[int] | Vec) -> tuple[Fraction, ...] | None:
@@ -281,44 +269,52 @@ def solve_rational_canonical(mat: IntMatrix, rhs: list[int] | Vec) -> tuple[Frac
 
     Unlike :func:`solve_rational` this tolerates dependent columns; free
     variables are pinned to zero, which makes the returned solution
-    canonical for a fixed column order.
+    canonical for a fixed column order.  It is read off the reduced echelon
+    form of ``[mat | rhs]``, which is unique.
     """
-    aug, pivots, consistent = _reduce_augmented(mat, rhs)
-    if not consistent:
+    n = len(mat[0]) if mat else 0
+    rows, pivots = echelon([list(row) + [rhs[i]] for i, row in enumerate(mat)])
+    if pivots and pivots[-1] == n:
         return None
-    return _solution_from(aug, pivots, len(mat[0]) if mat else 0)
+    x = [Fraction(0)] * n
+    for row, col in zip(rows, pivots):
+        x[col] = Fraction(row[n], row[col])
+    return tuple(x)
 
 
-def invert_rational(mat: IntMatrix) -> list[list[Fraction]]:
-    """Inverse of a nonsingular square integer matrix, over Q."""
-    n = len(mat)
-    aug = [[Fraction(x) for x in row] +
-           [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        sel = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if sel is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[col], aug[sel] = aug[sel], aug[col]
-        pv = aug[col][col]
-        aug[col] = [a / pv for a in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+@dataclass(frozen=True)
+class SpanSolver:
+    """Exact coordinates with respect to linearly independent integer vectors.
 
+    For vectors ``v_1, ..., v_d`` in Z^m, ``x`` lies in their rational span
+    iff every ``null`` row is orthogonal to ``x``, and then
+    ``x == sum(c_k * v_k)`` with ``c_k = rows[k]·x / denominators[k]``.
+    Built once from the echelon form of ``[V^T | I]``; a solve is then
+    integer dot products only.
+    """
 
-def row_space_solver(basis: IntMatrix) -> list[list[Fraction]]:
-    """For ``basis`` with independent rows, a matrix ``P`` with
-    ``basis @ P == I``; then ``x @ P`` recovers row coordinates."""
-    r = len(basis)
-    gram = mat_mul(basis, [list(col) for col in zip(*basis)])
-    ginv = invert_rational(gram)
-    # P = basis^T @ gram^{-1}
-    m = len(basis[0]) if basis else 0
-    return [[sum(Fraction(basis[k][i]) * ginv[k][j] for k in range(r))
-             for j in range(r)] for i in range(m)]
+    rows: tuple[Vec, ...]
+    denominators: tuple[int, ...]
+    null: tuple[Vec, ...]
+
+    @staticmethod
+    def of(vectors: list[Vec] | IntMatrix) -> "SpanSolver":
+        d = len(vectors)
+        m = len(vectors[0])
+        reduced, pivots = echelon(
+            [[v[i] for v in vectors] + [int(i == j) for j in range(m)]
+             for i in range(m)])
+        if pivots[:d] != list(range(d)):
+            raise ValueError("vectors are linearly dependent")
+        return SpanSolver(tuple(tuple(row[d:]) for row in reduced[:d]),
+                          tuple(row[k] for k, row in enumerate(reduced[:d])),
+                          tuple(tuple(row[d:]) for row in reduced[d:]))
+
+    def numerators(self, x: list[int] | Vec) -> tuple[int, ...] | None:
+        """``rows[k]·x`` for every k, or ``None`` when x is outside the span."""
+        if any(_dot(row, x) for row in self.null):
+            return None
+        return tuple(_dot(row, x) for row in self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +336,7 @@ class FiniteAbelianGroup:
         self._sup = [row[:] for row in sup_basis]
         self._diag = list(diag)
         self._v = [row[:] for row in col_transform]
-        self._solver = row_space_solver(self._sup) if self._sup else []
+        self._solver = SpanSolver.of(self._sup) if self._sup else None
         self.invariant_factors: tuple[int, ...] = tuple(
             f for f in diag if f > 1)
         order = 1
@@ -351,24 +347,18 @@ class FiniteAbelianGroup:
 
     def coords(self, x: list[int] | Vec) -> tuple[int, ...]:
         """Integer coordinates of ``x`` in the ambient lattice basis."""
-        r = len(self._sup)
-        if r == 0:
+        if not self._sup:
             if any(x):
                 raise NotInLatticeError(f"{tuple(x)} is not in the lattice")
             return ()
         if len(x) != len(self._sup[0]):
             raise NotInLatticeError(
                 f"vector has length {len(x)}, ambient dimension is {len(self._sup[0])}")
-        c = [sum(Fraction(x[i]) * self._solver[i][j] for i in range(len(x)))
-             for j in range(r)]
-        if any(ci.denominator != 1 for ci in c):
+        nums = self._solver.numerators(x)
+        dens = self._solver.denominators
+        if nums is None or any(a % p for a, p in zip(nums, dens)):
             raise NotInLatticeError(f"{tuple(x)} is not in the lattice")
-        ci = [int(v) for v in c]
-        # confirm x is in the row span, not merely integral in projection
-        for j in range(len(x)):
-            if sum(ci[k] * self._sup[k][j] for k in range(r)) != x[j]:
-                raise NotInLatticeError(f"{tuple(x)} is not in the lattice")
-        return tuple(ci)
+        return tuple(a // p for a, p in zip(nums, dens))
 
     def project(self, x: list[int] | Vec) -> tuple[int, ...]:
         """Canonical coset label of ``x``; constant on ``L'``-cosets."""

@@ -19,7 +19,6 @@ witnesses are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .decomposition import Decomposition, decompose
 from .semigroup import AffineSemigroup, vkey
@@ -40,10 +39,9 @@ def _dec(semigroup: AffineSemigroup, dec: Decomposition | None) -> Decomposition
 
 
 def _lambda_scan(dec: Decomposition, strict: bool) -> tuple[bool, dict | None]:
-    threshold = Fraction(1)
     for x in dec.module_generators():
         lam = dec.frame.coordinates(x)
-        bad = max(lam) > threshold if strict else max(lam) >= threshold
+        bad = max(lam) > 1 if strict else max(lam) >= 1
         if bad:
             return False, {"element": x, "lambda": lam}
     return True, None

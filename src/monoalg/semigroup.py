@@ -1,10 +1,11 @@
 """Positive affine semigroups in N^m.
 
 The central object is :class:`AffineSemigroup`: an ordered list of distinct
-nonzero generators with lazily computed cone and lattice data.  All geometry
-is done with exact rational arithmetic; membership is decided by a memoized
-descent that terminates because generator subtraction strictly decreases the
-coordinate sum.
+nonzero generators with lazily computed cone and lattice data.  Geometry is
+exact: frame coordinates come from the integer elimination kernel of
+:mod:`.intlinalg`, extreme rays from an exact simplex.  Membership is decided
+by a memoized descent that terminates because generator subtraction strictly
+decreases the coordinate sum.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .errors import (
 from .intlinalg import (
     FiniteAbelianGroup,
     IntMatrix,
+    SpanSolver,
     Vec,
-    invert_rational,
     lattice_basis,
     nonnegative_combination_exists,
     quotient_group,
@@ -59,21 +60,11 @@ class Frame:
     """
 
     elements: tuple[Vec, ...]
-    _solver: tuple[tuple[Fraction, ...], ...]
+    _solver: SpanSolver
 
     @staticmethod
     def from_elements(elements: tuple[Vec, ...]) -> "Frame":
-        d = len(elements)
-        m = len(elements[0])
-        # left inverse of the m x d column matrix, via the Gram matrix
-        gram = [[sum(elements[a][i] * elements[b][i] for i in range(m))
-                 for b in range(d)] for a in range(d)]
-        ginv = invert_rational(gram)
-        solver = tuple(
-            tuple(sum(ginv[k][a] * elements[a][i] for a in range(d))
-                  for i in range(m))
-            for k in range(d))
-        return Frame(elements, solver)
+        return Frame(elements, SpanSolver.of(elements))
 
     @property
     def dim(self) -> int:
@@ -88,13 +79,12 @@ class Frame:
         if len(x) != self.ambient_dim:
             raise DimensionMismatchError(
                 f"vector has length {len(x)}, ambient dimension is {self.ambient_dim}")
-        lam = tuple(sum(row[i] * x[i] for i in range(len(x)))
-                    for row in self._solver)
-        for i in range(len(x)):
-            if sum(lam[k] * self.elements[k][i] for k in range(self.dim)) != x[i]:
-                raise OutsideSpanError(
-                    f"{tuple(x)} is outside the rational span of the frame")
-        return lam
+        nums = self._solver.numerators(x)
+        if nums is None:
+            raise OutsideSpanError(
+                f"{tuple(x)} is outside the rational span of the frame")
+        return tuple(Fraction(a, p)
+                     for a, p in zip(nums, self._solver.denominators))
 
 
 @dataclass(frozen=True)
@@ -286,20 +276,6 @@ class AffineSemigroup:
     @property
     def is_homogeneous(self) -> bool:
         return self._degree_functional is not None
-
-    # -- minimality --------------------------------------------------------------
-
-    def minimalize_check(self) -> tuple[int, ...]:
-        """Indices of generators contained in the semigroup of the others."""
-        redundant = []
-        for i, g in enumerate(self.generators):
-            others = self.generators[:i] + self.generators[i + 1:]
-            if not others:
-                continue
-            reduced = AffineSemigroup(others)
-            if reduced.member(g):
-                redundant.append(i)
-        return tuple(redundant)
 
     # -- module generators over the frame ------------------------------------------
 

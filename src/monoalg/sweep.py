@@ -6,17 +6,12 @@ are distinct lattice points of coordinate sum ``D``, so every generator has
 degree one under ``u -> sum(u)/D``.  Such generator sets are automatically
 minimal (a degree-one element cannot be a sum of two or more).
 
-Runs are reproducible from the seed.  The environment variable
-``MONOALG_THREADS`` caps worker parallelism; instance generation stays
-sequential and results merge in submission order, so the summary does not
-depend on scheduling.
+Runs are reproducible from the seed.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .decomposition import _compositions, decompose
@@ -84,17 +79,10 @@ def _analyze_instance(semigroup: AffineSemigroup, char: int) -> dict:
     }
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("MONOALG_THREADS", "").strip()
-    if not raw:
-        return 1
-    return max(1, int(raw))
-
-
 def run_sweep(cfg: SweepConfig) -> dict:
     cfg.check()
     rng = random.Random(cfg.seed)
-    instances: list[AffineSemigroup] = []
+    results = []
     skipped = 0
     for _ in range(cfg.count):
         degree = rng.randint(1, cfg.max_entry)
@@ -104,15 +92,7 @@ def run_sweep(cfg: SweepConfig) -> dict:
         if instance is None:
             skipped += 1
         else:
-            instances.append(instance)
-
-    workers = _worker_count()
-    if workers > 1 and len(instances) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda s: _analyze_instance(s, cfg.char), instances))
-    else:
-        results = [_analyze_instance(s, cfg.char) for s in instances]
+            results.append(_analyze_instance(instance, cfg.char))
 
     property_counts = {name: 0 for name in
                        ("seminormal", "normal", "cohen_macaulay",

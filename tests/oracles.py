@@ -33,6 +33,72 @@ def members_up_to(gens, max_sum):
     return seen
 
 
+def redundant_generators(gens):
+    """Indices of generators lying in the semigroup of the others, by
+    closure up to the generator's own coordinate sum."""
+    gens = [tuple(g) for g in gens]
+    out = []
+    for i, g in enumerate(gens):
+        others = gens[:i] + gens[i + 1:]
+        if others and g in members_up_to(others, sum(g)):
+            out.append(i)
+    return tuple(out)
+
+
+def mat_mul(a, b):
+    if a and b:
+        assert len(a[0]) == len(b)
+    cols = len(b[0]) if b else 0
+    return [[sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(cols)]
+            for ra in a]
+
+
+def det(mat):
+    """Determinant of a square integer matrix, by Bareiss elimination."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    assert all(len(r) == n for r in mat)
+    m = [row[:] for row in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            sel = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if sel is None:
+                return 0
+            m[k], m[sel] = m[sel], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def brute_rank(rows, char):
+    """Rank over Q (char 0, in Fraction) or over F_char, by forward
+    elimination to row echelon form."""
+    def div(a, b):
+        return Fraction(a) / b if char == 0 else a * pow(b, -1, char) % char
+
+    work = [[x % char if char else x for x in row] for row in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        sel = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if sel is None:
+            continue
+        work[rank], work[sel] = work[sel], work[rank]
+        for i in range(rank + 1, len(work)):
+            f = div(work[i][col], work[rank][col])
+            work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+            if char:
+                work[i] = [a % char for a in work[i]]
+        rank += 1
+    return rank
+
+
 def solve_fractions(columns, target):
     """Solve sum(c_k * columns[k]) == target by Gaussian elimination.
     Returns the coefficient tuple or None.  Columns must be independent."""

@@ -100,6 +100,15 @@ class TestCommands:
         doc = json.loads(out)
         assert doc["hilbert_verify"] == {"t_max": 6, "ok": True}
 
+    @pytest.mark.parametrize("command",
+                             ["decompose", "props", "reg", "eg", "analyze"])
+    def test_verify_line_in_text(self, command, tmp_path, capsys):
+        path = write_gens(tmp_path, SEC3_GENS)
+        code, out, _ = run_cli(
+            [command, "--input", path, "--verify", "--tmax", "6"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "degree counts match up to t=6: True"
+
     def test_decompose_free(self, tmp_path, capsys):
         path = write_gens(tmp_path, [(1, 0), (0, 1)])
         code, out, _ = run_cli(["decompose", "--input", path, "--json"],
@@ -192,6 +201,14 @@ class TestExitCodes:
         assert code == 1
         code, _, err = run_cli([], capsys)
         assert code == 1
+
+    def test_negative_tmax_is_usage_error(self, tmp_path, capsys):
+        path = write_gens(tmp_path, SEC3_GENS)
+        code, out, err = run_cli(
+            ["decompose", "--input", path, "--verify", "--tmax", "-3"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:")
 
     def test_not_simplicial_is_two(self, tmp_path, capsys):
         from conftest import NONSIMPLICIAL_GENS
@@ -297,14 +314,6 @@ class TestSweepCommand:
         doc = json.loads(first)
         assert doc["analyzed"] + doc["skipped"] == 25
         assert doc["eg_violations"] == []
-
-    def test_thread_env_does_not_change_result(self, capsys, monkeypatch):
-        args = ["sweep", "--count", "12", "--seed", "3", "--json"]
-        monkeypatch.delenv("MONOALG_THREADS", raising=False)
-        _, sequential, _ = run_cli(args, capsys)
-        monkeypatch.setenv("MONOALG_THREADS", "4")
-        _, threaded, _ = run_cli(args, capsys)
-        assert sequential == threaded
 
     def test_bad_config_is_usage_error(self, capsys):
         code, _, err = run_cli(["sweep", "--gens", "1", "--dim", "2"], capsys)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from monoalg.errors import (
@@ -9,25 +9,42 @@ from monoalg.errors import (
     InfiniteQuotientError,
     NotInLatticeError,
 )
+from monoalg.errors import OutsideSpanError
 from monoalg.intlinalg import (
-    det,
     hermite_normal_form,
     identity,
     lattice_basis,
-    mat_mul,
     nonnegative_combination_exists,
     quotient_group,
+    rank,
     smith_normal_form,
     solve_rational,
     solve_rational_canonical,
 )
-from oracles import solve_fractions
+from monoalg.semigroup import Frame
+from oracles import brute_rank, det, mat_mul, solve_fractions
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
         lambda c: st.lists(
             st.lists(st.integers(-9, 9), min_size=c, max_size=c),
             min_size=r, max_size=r)))
+
+
+
+@st.composite
+def span_problems(draw):
+    """Vectors in Z^m (m <= 4) and a point that is an integer combination of
+    them plus small noise, so it may leave the lattice or the span."""
+    m = draw(st.integers(1, 4))
+    vecs = draw(st.lists(st.tuples(*[st.integers(-5, 5)] * m),
+                         min_size=1, max_size=m))
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=len(vecs),
+                           max_size=len(vecs)))
+    noise = draw(st.tuples(*[st.integers(-2, 2)] * m))
+    x = tuple(sum(c * v[i] for c, v in zip(coeffs, vecs)) + noise[i]
+              for i in range(m))
+    return vecs, x
 
 
 def lattice_contains(basis, x):
@@ -237,6 +254,54 @@ class TestSolveRational:
         assert sol is not None
         for i, row in enumerate(mat):
             assert sum(Fraction(row[j]) * sol[j] for j in range(2)) == rhs[i]
+
+
+class TestRank:
+    @given(st.integers(1, 6).flatmap(
+               lambda c: st.lists(
+                   st.lists(st.integers(-9, 9), min_size=c, max_size=c),
+                   min_size=1, max_size=6)),
+           st.sampled_from([0, 2, 3, 5, 7]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_elimination_oracle(self, mat, char):
+        assert rank(mat, char) == brute_rank(mat, char)
+
+    def test_empty(self):
+        assert rank([], 0) == 0
+        assert rank([[]], 5) == 0
+
+
+class TestSpanCoordinates:
+    @given(span_problems())
+    @example(([(1, 0)], (0, 1)))          # outside the span
+    @example(([(2, 0), (0, 3)], (1, 1)))  # in the span, not integral
+    @settings(max_examples=150, deadline=None)
+    def test_frame_coordinates(self, problem):
+        vecs, x = problem
+        assume(brute_rank(vecs, 0) == len(vecs))
+        frame = Frame.from_elements(tuple(vecs))
+        expected = solve_fractions(vecs, x)
+        if expected is None:
+            with pytest.raises(OutsideSpanError):
+                frame.coordinates(x)
+        else:
+            assert frame.coordinates(x) == expected
+
+    @given(span_problems())
+    @example(([(1, 0)], (0, 1)))  # outside the span
+    @example(([(2, 0)], (1, 0)))  # in the span, not in the lattice
+    @settings(max_examples=150, deadline=None)
+    def test_lattice_coords(self, problem):
+        vecs, x = problem
+        basis = lattice_basis(vecs)
+        assume(basis)
+        group = quotient_group(basis, basis)
+        expected = solve_fractions([tuple(row) for row in basis], x)
+        if expected is None or any(q.denominator != 1 for q in expected):
+            with pytest.raises(NotInLatticeError):
+                group.coords(x)
+        else:
+            assert group.coords(x) == expected
 
 
 class TestConeMembership:

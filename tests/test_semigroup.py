@@ -174,18 +174,6 @@ class TestDegreeFunctional:
         assert f.coefficients == (1, 1, 1)
 
 
-class TestMinimalize:
-    def test_interior_redundant(self):
-        B = validate([(1, 0), (0, 1), (1, 1)])
-        assert B.minimalize_check() == (2,)
-
-    def test_example_minimal(self, sec3):
-        assert sec3.minimalize_check() == ()
-
-    def test_numerical(self):
-        assert validate([(2,), (3,), (5,)]).minimalize_check() == (2,)
-
-
 class TestModuleGenerators:
     def test_example(self, sec3):
         expected = {(0, 0, 0), (3, 0, 1), (3, 2, 3), (0, 2, 2), (1, 0, 3),

@@ -9,6 +9,7 @@ from monoalg.sweep import (
     random_simplicial_instance,
     run_sweep,
 )
+from oracles import redundant_generators
 
 
 class TestInstanceGeneration:
@@ -23,7 +24,7 @@ class TestInstanceGeneration:
             assert inst is not None
             assert inst.is_simplicial()
             assert inst.is_homogeneous
-            assert inst.minimalize_check() == ()
+            assert redundant_generators(inst.generators) == ()
             assert len(inst.generators) == 5
 
     def test_pool_exhaustion(self):
