@@ -152,29 +152,27 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_char(p):
+        p.add_argument("--char", type=int, default=0,
+                       help="field characteristic (0 or a prime)")
+
+    for name, (text, sections, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(run=_cmd_report)
         p.add_argument("--input", help="input file (default: stdin)")
         p.add_argument("--json", action="store_true",
                        help="emit canonical JSON instead of text")
-        p.add_argument("--char", type=int, default=0,
-                       help="field characteristic (0 or a prime)")
+        if "regularity" in sections:
+            add_char(p)
         p.add_argument("--verbose", action="store_true",
                        help="include frame coordinates in the output")
-
-    for name, text in [
-            ("decompose", "decompose the semigroup ring over its frame ring"),
-            ("props", "test seminormal, normal, CM, Buchsbaum, Gorenstein"),
-            ("reg", "compute regularity, degree, codim, and depth"),
-            ("eg", "check the regularity bound degree - codim"),
-            ("analyze", "run decomposition, properties, and regularity")]:
-        p = sub.add_parser(name, help=text)
-        add_common(p)
         p.add_argument("--verify", action="store_true",
                        help="also run the independent degree-count check")
         p.add_argument("--tmax", type=int, default=8,
                        help="verification depth for --verify")
 
     p = sub.add_parser("sweep", help="seeded random bound-testing sweep")
+    p.set_defaults(run=_cmd_sweep)
     p.add_argument("--dim", type=int, default=3, help="ambient dimension")
     p.add_argument("--gens", type=int, default=5,
                    help="generators per instance, frame included")
@@ -183,8 +181,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--count", type=int, default=50,
                    help="number of instances")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--char", type=int, default=0,
-                   help="field characteristic (0 or a prime)")
+    add_char(p)
     p.add_argument("--json", action="store_true",
                    help="emit canonical JSON instead of text")
     return parser
@@ -219,82 +216,73 @@ def _header_lines(semigroup: AffineSemigroup, doc: InputDocument) -> list[str]:
 
 
 def _verify_section(args, semigroup, dec) -> dict:
-    if not getattr(args, "verify", False):
+    if not args.verify:
         return {}
     ok = hilbert_verify(semigroup, dec, semigroup.degree_functional(),
                         args.tmax)
     return {"hilbert_verify": {"t_max": args.tmax, "ok": ok}}
 
 
-def _cmd_decompose(args) -> int:
-    semigroup, indoc = _read_semigroup(args)
-    dec = decompose(semigroup)
-    doc = semigroup_to_dict(semigroup)
-    if indoc.name:
-        doc["name"] = indoc.name
-    doc["decomposition"] = decomposition_to_dict(dec, args.verbose)
-    doc.update(_verify_section(args, semigroup, dec))
-    lines = _header_lines(semigroup, indoc) + decomposition_text(dec,
-                                                                 args.verbose)
-    _emit(args, doc, lines)
-    return 0
+def _decomposition(args, semigroup, dec):
+    return (decomposition_to_dict(dec, args.verbose),
+            decomposition_text(dec, args.verbose))
 
 
-def _cmd_props(args) -> int:
-    semigroup, indoc = _read_semigroup(args)
-    dec = decompose(semigroup)
+def _properties(args, semigroup, dec):
     report = full_report(semigroup, dec)
-    doc = semigroup_to_dict(semigroup)
-    if indoc.name:
-        doc["name"] = indoc.name
-    doc["properties"] = property_report_to_dict(report)
-    doc.update(_verify_section(args, semigroup, dec))
-    _emit(args, doc, _header_lines(semigroup, indoc) + properties_text(report))
-    return 0
+    return property_report_to_dict(report), properties_text(report)
 
 
-def _cmd_reg(args) -> int:
+def _regularity(args, semigroup, dec):
+    report = analyze(semigroup, args.char, dec)
+    return regularity_report_to_dict(report), regularity_text(report)
+
+
+_SECTIONS = {
+    "decomposition": _decomposition,
+    "properties": _properties,
+    "regularity": _regularity,
+}
+
+
+def _eg_view(doc: dict) -> tuple[dict, list[str]]:
+    """The bound check alone, projected from the regularity report."""
+    reg = doc["regularity"]
+    view = {"reg": reg["regularity"], "bound": reg["eg_bound"],
+            "holds": reg["eg_holds"]}
+    return view, [f"reg {view['reg']} <= degree - codim = {view['bound']}: "
+                  f"{'holds' if view['holds'] else 'VIOLATED'}"]
+
+
+# subcommand -> (help, sections in output order, optional projection)
+_COMMANDS = {
+    "decompose": ("decompose the semigroup ring over its frame ring",
+                  ("decomposition",), None),
+    "props": ("test seminormal, normal, CM, Buchsbaum, Gorenstein",
+              ("properties",), None),
+    "reg": ("compute regularity, degree, codim, and depth",
+            ("regularity",), None),
+    "eg": ("check the regularity bound degree - codim",
+           ("regularity",), _eg_view),
+    "analyze": ("run decomposition, properties, and regularity",
+                ("decomposition", "properties", "regularity"), None),
+}
+
+
+def _cmd_report(args) -> int:
     semigroup, indoc = _read_semigroup(args)
     dec = decompose(semigroup)
-    report = analyze(semigroup, args.char, dec)
+    _, sections, view = _COMMANDS[args.command]
     doc = semigroup_to_dict(semigroup)
     if indoc.name:
         doc["name"] = indoc.name
-    doc["regularity"] = regularity_report_to_dict(report)
+    lines = _header_lines(semigroup, indoc)
+    for name in sections:
+        doc[name], text = _SECTIONS[name](args, semigroup, dec)
+        lines += text
+    if view is not None:
+        doc, lines = view(doc)
     doc.update(_verify_section(args, semigroup, dec))
-    _emit(args, doc, _header_lines(semigroup, indoc) + regularity_text(report))
-    return 0
-
-
-def _cmd_eg(args) -> int:
-    semigroup, _ = _read_semigroup(args)
-    dec = decompose(semigroup)
-    report = analyze(semigroup, args.char, dec)
-    doc = {"reg": report.regularity, "bound": report.eg_bound,
-           "holds": report.eg_holds}
-    doc.update(_verify_section(args, semigroup, dec))
-    lines = [f"reg {report.regularity} <= degree - codim = "
-             f"{report.eg_bound}: {'holds' if report.eg_holds else 'VIOLATED'}"]
-    _emit(args, doc, lines)
-    return 0
-
-
-def _cmd_analyze(args) -> int:
-    semigroup, indoc = _read_semigroup(args)
-    dec = decompose(semigroup)
-    props = full_report(semigroup, dec)
-    reg = analyze(semigroup, args.char, dec)
-    doc = semigroup_to_dict(semigroup)
-    if indoc.name:
-        doc["name"] = indoc.name
-    doc["decomposition"] = decomposition_to_dict(dec, args.verbose)
-    doc["properties"] = property_report_to_dict(props)
-    doc["regularity"] = regularity_report_to_dict(reg)
-    doc.update(_verify_section(args, semigroup, dec))
-    lines = (_header_lines(semigroup, indoc)
-             + decomposition_text(dec, args.verbose)
-             + properties_text(props)
-             + regularity_text(reg))
     _emit(args, doc, lines)
     return 0
 
@@ -326,15 +314,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "decompose": _cmd_decompose,
-    "props": _cmd_props,
-    "reg": _cmd_reg,
-    "eg": _cmd_eg,
-    "analyze": _cmd_analyze,
-    "sweep": _cmd_sweep,
-}
-
 _REASONS = {
     NotSimplicialError: "not_simplicial",
     NotHomogeneousError: "not_homogeneous",
@@ -355,7 +334,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "tmax", 0) < 0:
             raise _UsageError(f"--tmax must be nonnegative, got {args.tmax}")
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotHomogeneousError
+from .errors import InternalError, NotHomogeneousError
 from .semigroup import AffineSemigroup, DegreeFunctional, Frame, Vec, vkey
 
 
@@ -154,18 +154,21 @@ def decompose(semigroup: AffineSemigroup) -> Decomposition:
         ideal = MonomialIdeal(d, tuple(sorted(gens, key=vkey)))
         # within a coset the differences have integer frame coordinates, so
         # the exponents above are automatically a minimal antichain
-        assert all(e >= 0 for g in ideal.gens for e in g)
+        if any(e < 0 for g in ideal.gens for e in g):
+            raise InternalError(f"negative exponent in coset {label}")
         degree = functional.degree(shift) if functional is not None else None
         summands.append(Summand(label, gamma, shift, ideal, degree))
 
-    assert len(summands) == group.order
+    if len(summands) != group.order:
+        raise InternalError(f"module generators meet {len(summands)} of "
+                            f"{group.order} cosets")
     return Decomposition(frame, group.order, group.invariant_factors,
                          tuple(summands))
 
 
 def _as_int(q: Fraction) -> int:
     if q.denominator != 1:
-        raise AssertionError(f"expected an integer, got {q}")
+        raise InternalError(f"expected an integer, got {q}")
     return int(q)
 
 

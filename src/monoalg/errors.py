@@ -102,3 +102,7 @@ class OutsideSpanError(MonoalgError):
 
 class InvalidCharacteristicError(MonoalgError):
     pass
+
+
+class InternalError(MonoalgError):
+    """A computed result broke an invariant the algorithm guarantees."""

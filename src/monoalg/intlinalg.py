@@ -255,9 +255,6 @@ def solve_rational(mat: IntMatrix, rhs: list[int] | Vec) -> tuple[Fraction, ...]
     and raises :class:`AmbiguousSolutionError` for dependent columns with a
     consistent right-hand side.
     """
-    if len(rhs) != len(mat):
-        # a shape mismatch can never be consistent
-        return None
     sol = solve_rational_canonical(mat, rhs)
     if sol is not None and rank(mat) < len(sol):
         raise AmbiguousSolutionError("columns are linearly dependent")
@@ -272,6 +269,9 @@ def solve_rational_canonical(mat: IntMatrix, rhs: list[int] | Vec) -> tuple[Frac
     canonical for a fixed column order.  It is read off the reduced echelon
     form of ``[mat | rhs]``, which is unique.
     """
+    if len(rhs) != len(mat):
+        # a shape mismatch can never be consistent
+        return None
     n = len(mat[0]) if mat else 0
     rows, pivots = echelon([list(row) + [rhs[i]] for i, row in enumerate(mat)])
     if pivots and pivots[-1] == n:

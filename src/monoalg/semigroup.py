@@ -3,14 +3,13 @@
 The central object is :class:`AffineSemigroup`: an ordered list of distinct
 nonzero generators with lazily computed cone and lattice data.  Geometry is
 exact: frame coordinates come from the integer elimination kernel of
-:mod:`.intlinalg`, extreme rays from an exact simplex.  Membership is decided
-by a memoized descent that terminates because generator subtraction strictly
-decreases the coordinate sum.
+:mod:`.intlinalg`, extreme rays from an exact simplex.  The module generators
+over the frame come from one best-first search on integer frame coordinates.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,7 +116,6 @@ class AffineSemigroup:
     def __init__(self, generators: tuple[Vec, ...]):
         self.generators = generators
         self.ambient_dim = len(generators[0])
-        self._member_cache: dict[Vec, bool] = {(0,) * self.ambient_dim: True}
 
     # -- construction --------------------------------------------------------
 
@@ -156,50 +154,6 @@ class AffineSemigroup:
     @property
     def rank(self) -> int:
         return len(self.group_basis)
-
-    # -- membership -----------------------------------------------------------
-
-    def member(self, x) -> bool:
-        """Whether ``x`` is a finite N-combination of the generators.
-
-        Memoized descent on ``x - b_i``; each step strictly decreases the
-        coordinate sum, so the recursion (here an explicit stack)
-        terminates.
-        """
-        x = tuple(x)
-        if len(x) != self.ambient_dim:
-            raise DimensionMismatchError(
-                f"vector has length {len(x)}, ambient dimension is {self.ambient_dim}")
-        if any(e < 0 for e in x):
-            return False
-        cache = self._member_cache
-        stack = [x]
-        while stack:
-            v = stack[-1]
-            if v in cache:
-                stack.pop()
-                continue
-            hit = False
-            pending = []
-            for b in self.generators:
-                w = tuple(a - c for a, c in zip(v, b))
-                if any(e < 0 for e in w):
-                    continue
-                known = cache.get(w)
-                if known is True:
-                    hit = True
-                    break
-                if known is None:
-                    pending.append(w)
-            if hit:
-                cache[v] = True
-                stack.pop()
-            elif pending:
-                stack.extend(pending)
-            else:
-                cache[v] = False
-                stack.pop()
-        return cache[x]
 
     # -- cone geometry ----------------------------------------------------------
 
@@ -281,40 +235,36 @@ class AffineSemigroup:
 
     @cached_property
     def _module_generators(self) -> tuple[Vec, ...]:
+        # Every x in B is m + (frame combination) for a module generator m,
+        # so x is one iff no other module generator m of its coset has
+        # lam(m) <= lam(x).  Such an m has a smaller coordinate sum, so
+        # popping in vkey order decides it first.  Removing an extra from a
+        # module generator leaves one, so expanding only the kept elements
+        # reaches them all.  Frame numerators are carried additively, and
+        # their residues modulo the denominators key the coset.
         frame = self.frame()
-        group = self.quotient()
-        frame_set = set(frame.elements)
-        extras = [g for g in self.generators if g not in frame_set]
-        orders = [group.element_order(g) for g in extras]
-        # Box bound.  Write x with x - e_k not in B for all k as
-        # x = sum_i n_i b_i.  If some n_j >= D_j, where D_j is the order of
-        # the class of b_j modulo the frame lattice, then D_j*b_j lies in
-        # that lattice; its frame coordinates are integers and nonnegative
-        # (the cone is simplicial, so every element of B has nonnegative
-        # frame coordinates), hence D_j*b_j is a nonzero element of the
-        # frame subsemigroup and x - D_j*b_j is in B.  Subtracting frame
-        # generators one at a time from x then stays in B at each step,
-        # contradicting minimality of x.  Frame generators have order 1 and
-        # never occur.  So enumerating exponents n_i < D_i covers every
-        # minimal element, and the membership filter below is exact.
+        solver = frame._solver
+        extras = [(g, solver.numerators(g)) for g in self.generators
+                  if g not in frame.elements]
         zero = (0,) * self.ambient_dim
-        candidates = {zero}
-        for exponents in itertools.product(*(range(d) for d in orders)):
-            v = zero
-            for n, b in zip(exponents, extras):
-                if n:
-                    v = tuple(a + n * c for a, c in zip(v, b))
-            candidates.add(v)
+        heap = [(0, zero, (0,) * frame.dim)]
+        seen = {zero}
+        kept: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         result = []
-        for x in sorted(candidates, key=vkey):
-            minimal = True
-            for e in frame.elements:
-                w = tuple(a - c for a, c in zip(x, e))
-                if all(c >= 0 for c in w) and self.member(w):
-                    minimal = False
-                    break
-            if minimal:
-                result.append(x)
+        while heap:
+            _, x, num = heapq.heappop(heap)
+            coset = kept.setdefault(
+                tuple(a % p for a, p in zip(num, solver.denominators)), [])
+            if any(all(map(operator.le, m, num)) for m in coset):
+                continue
+            coset.append(num)
+            result.append(x)
+            for b, nb in extras:
+                y = tuple(map(operator.add, x, b))
+                if y not in seen:
+                    seen.add(y)
+                    heapq.heappush(
+                        heap, (sum(y), y, tuple(map(operator.add, num, nb))))
         return tuple(result)
 
     def module_generators(self) -> tuple[Vec, ...]:

@@ -2,15 +2,16 @@
 
 Everything here implements raw definitions by direct enumeration and small
 local linear solves; nothing calls into the package's decomposition,
-membership, or homology code paths, so agreement is meaningful.
+module-generator, or homology code paths, so agreement is meaningful.
 Restricted to the small ambient dimensions the tests use (m <= 2 for the
-semigroup oracles).
+semigroup oracles), except for :func:`box_module_generators`, which takes
+its frame from the package and works in any dimension.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
 
 
@@ -189,6 +190,65 @@ def brute_module_generators(gens):
         if minimal:
             ba.add(x)
     return frame, ba
+
+
+def _memoized_member(gens):
+    """Membership in the semigroup of ``gens``: descent on ``x - g`` with a
+    cache, each step strictly decreasing the coordinate sum."""
+    cache = {(0,) * len(gens[0]): True}
+
+    def member(x):
+        if any(e < 0 for e in x):
+            return False
+        stack = [x]
+        while stack:
+            v = stack[-1]
+            if v in cache:
+                stack.pop()
+                continue
+            below = [w for w in (tuple(a - c for a, c in zip(v, g))
+                                 for g in gens)
+                     if all(e >= 0 for e in w)]
+            if any(cache.get(w) for w in below):
+                cache[v] = True
+                stack.pop()
+                continue
+            pending = [w for w in below if w not in cache]
+            if pending:
+                stack.extend(pending)
+            else:
+                cache[v] = False
+                stack.pop()
+        return cache[x]
+
+    return member
+
+
+def box_module_generators(gens):
+    """B_A by the box method, sorted by (coordinate sum, lex).
+
+    Every minimal x is a sum of extras b_j with exponents n_j < ord(b_j),
+    the order of b_j modulo the frame lattice: otherwise ord(b_j)*b_j is a
+    nonzero element of the frame semigroup (integer, nonnegative frame
+    coordinates), and a frame generator could be subtracted from x inside
+    B.  So the box of such sums, filtered by membership of x - e_k, is B_A.
+    The frame (extreme rays) comes from the package; orders and membership
+    are computed here.
+    """
+    from monoalg import validate
+
+    gens = [tuple(g) for g in gens]
+    frame = validate(gens).frame().elements
+    extras = [g for g in gens if g not in frame]
+    orders = [lcm(*(q.denominator for q in solve_fractions(frame, b)))
+              for b in extras]
+    member = _memoized_member(gens)
+    candidates = {tuple(sum(n * b[i] for n, b in zip(exps, extras))
+                        for i in range(len(gens[0])))
+                  for exps in product(*(range(d) for d in orders))}
+    return tuple(x for x in sorted(candidates, key=lambda v: (sum(v), v))
+                 if not any(member(tuple(a - c for a, c in zip(x, e)))
+                            for e in frame))
 
 
 def brute_seminormal(gens):

@@ -225,6 +225,16 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "not_homogeneous"
 
+    @pytest.mark.parametrize("command", ["decompose", "props"])
+    def test_char_is_usage_error_without_regularity(self, command, tmp_path,
+                                                    capsys):
+        path = write_gens(tmp_path, SEC3_GENS)
+        code, out, err = run_cli(
+            [command, "--input", path, "--char", "4", "--json"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:")
+
     def test_bad_characteristic_is_usage_like(self, tmp_path, capsys):
         path = write_gens(tmp_path, SEC3_GENS)
         code, out, err = run_cli(

@@ -1,6 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import monoalg
 
 from monoalg import (
     MonomialIdeal,
@@ -10,7 +16,11 @@ from monoalg import (
     validate,
 )
 from monoalg.decomposition import Decomposition, _compositions
-from monoalg.errors import NotHomogeneousError, NotSimplicialError
+from monoalg.errors import (
+    InternalError,
+    NotHomogeneousError,
+    NotSimplicialError,
+)
 from monoalg.sweep import random_simplicial_instance
 from conftest import NONSIMPLICIAL_GENS, SEC3_GENS
 
@@ -142,6 +152,33 @@ class TestInvariants:
 
     def test_deterministic(self):
         assert decompose(validate(SEC3_GENS)) == decompose(validate(SEC3_GENS))
+
+    def test_missed_coset_raises(self, sec3, monkeypatch):
+        # (3, 0, 1) is alone in its coset, so dropping it leaves 7 of 8
+        found = sec3.module_generators()
+        monkeypatch.setattr(sec3, "module_generators",
+                            lambda: tuple(x for x in found if x != (3, 0, 1)))
+        with pytest.raises(InternalError):
+            decompose(sec3)
+
+    def test_missed_coset_raises_under_optimize(self):
+        code = (
+            "from monoalg import decompose, validate\n"
+            "from monoalg.errors import InternalError\n"
+            f"B = validate({SEC3_GENS!r})\n"
+            "found = B.module_generators()\n"
+            "B.module_generators = lambda: tuple(\n"
+            "    x for x in found if x != (3, 0, 1))\n"
+            "try:\n"
+            "    decompose(B)\n"
+            "except InternalError:\n"
+            "    print('raised')\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(monoalg.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, env=env,
+                              check=True)
+        assert proc.stdout == "raised\n"
 
 
 class TestHilbertVerify:

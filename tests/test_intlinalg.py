@@ -237,6 +237,9 @@ class TestSolveRational:
     def test_length_mismatch(self):
         assert solve_rational([[4, 0], [0, 4]], (1, 0, 7)) is None
 
+    def test_canonical_length_mismatch(self):
+        assert solve_rational_canonical([[1], [2]], [1]) is None
+
     def test_canonical_solver_free_vars(self):
         sol = solve_rational_canonical([[1, 1]], (3,))
         assert sol == (Fraction(3), Fraction(0))

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from monoalg import validate
@@ -15,8 +17,9 @@ from monoalg.errors import (
     ZeroGeneratorError,
 )
 from monoalg.semigroup import Frame
+from monoalg.sweep import random_simplicial_instance
 from conftest import NONSIMPLICIAL_GENS, SEC3_GENS
-from oracles import brute_module_generators, members_up_to
+from oracles import box_module_generators, brute_module_generators, members_up_to
 
 # small random generator sets in N^1 or N^2, entries <= 6
 gen_sets = st.integers(1, 2).flatmap(
@@ -48,50 +51,6 @@ class TestValidate:
     def test_ragged(self):
         with pytest.raises(DimensionMismatchError):
             validate([(1, 2), (3,)])
-
-
-class TestMember:
-    def test_numerical(self):
-        B = validate([(2,), (3,)])
-        # exhaustive oracle: which small integers are sums of 2s and 3s
-        expected = {0, 2, 3} | set(range(4, 40))
-        for x in range(40):
-            assert B.member((x,)) == (x in expected)
-
-    def test_zero_and_negative(self):
-        B = validate([(2,), (3,)])
-        assert B.member((0,))
-        assert not B.member((-2,))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            validate([(2,), (3,)]).member((1, 1))
-
-    @given(gen_sets, st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_generators_and_sums(self, gens, data):
-        B = validate(gens)
-        for g in gens:
-            assert B.member(g)
-        i = data.draw(st.integers(0, len(gens) - 1))
-        j = data.draw(st.integers(0, len(gens) - 1))
-        total = tuple(a + b for a, b in zip(gens[i], gens[j]))
-        assert B.member(total)
-
-    @given(gen_sets)
-    @settings(max_examples=40, deadline=None)
-    def test_against_closure_oracle(self, gens):
-        B = validate(gens)
-        bound = 3 * max(sum(g) for g in gens)
-        members = members_up_to(gens, bound)
-        m = len(gens[0])
-        if m == 1:
-            probes = [(s,) for s in range(bound + 1)]
-        else:
-            probes = [(a, b) for a in range(bound + 1)
-                      for b in range(bound + 1 - a)]
-        for p in probes:
-            assert B.member(p) == (p in members)
 
 
 class TestConeGeometry:
@@ -189,12 +148,13 @@ class TestModuleGenerators:
 
     def test_recheck_minimality(self, sec3):
         frame = sec3.frame()
-        for x in sec3.module_generators():
+        ba = sec3.module_generators()
+        members = members_up_to(sec3.generators, max(sum(x) for x in ba))
+        for x in ba:
             lam = frame.coordinates(x)
             assert all(q >= 0 for q in lam)
             for e in frame.elements:
-                w = tuple(a - b for a, b in zip(x, e))
-                assert any(c < 0 for c in w) or not sec3.member(w)
+                assert tuple(a - b for a, b in zip(x, e)) not in members
 
     def test_zero_in_and_frame_out(self, sec3):
         ba = set(sec3.module_generators())
@@ -219,3 +179,14 @@ class TestModuleGenerators:
         frame, ba = brute_module_generators(gens)
         assert tuple(frame) == B.frame().elements
         assert set(B.module_generators()) == ba
+
+    @given(st.sampled_from([(2, 5, 2), (2, 9, 3), (3, 4, 3), (3, 6, 4),
+                            (4, 3, 4), (4, 4, 4)]),
+           st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_against_box_oracle(self, family, seed):
+        B = random_simplicial_instance(random.Random(seed), *family)
+        assume(B is not None)
+        group = B.quotient()
+        assume(prod(group.element_order(g) for g in B.generators) <= 2000)
+        assert B.module_generators() == box_module_generators(B.generators)
