@@ -10,7 +10,7 @@ semigroup ring as a finite direct sum of shifted monomial ideals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from .errors import InternalError, NotHomogeneousError
 from .semigroup import AffineSemigroup, DegreeFunctional, Frame, Vec, vkey
@@ -125,51 +125,47 @@ class Decomposition:
 
 
 def decompose(semigroup: AffineSemigroup) -> Decomposition:
-    """Decompose the semigroup ring over its frame ring.
+    """Decompose the semigroup ring over its frame ring, in integers, from
+    the classes and frame numerators of the module-generator search.
 
     Raises :class:`NotSimplicialError` for non-simplicial cones, where the
-    shifts would not be unique.
+    shifts would not be unique, and :class:`InternalError` when the search's
+    classes disagree with the quotient group.
     """
     frame = semigroup.frame()
     group = semigroup.quotient()
-    functional = semigroup.degree_functional()
-    d = frame.dim
-
-    cosets: dict[tuple[int, ...], list[Vec]] = {}
-    for x in semigroup.module_generators():
-        cosets.setdefault(group.project(x), []).append(x)
+    dens = frame.denominators
+    common = lcm(*dens)
+    cosets = semigroup.module_generator_cosets()
+    by_label = {group.project(members[0][0]): members for members in cosets}
+    if not len(cosets) == len(by_label) == group.order:
+        raise InternalError(f"module generators meet {len(by_label)} of "
+                            f"{group.order} cosets in {len(cosets)} classes")
 
     summands = []
-    for label in sorted(cosets):
-        gamma = tuple(sorted(cosets[label], key=vkey))
-        lams = [frame.coordinates(v) for v in gamma]
-        mins = [min(lam[k] for lam in lams) for k in range(d)]
-        shift = tuple(
-            _as_int(sum(mins[k] * frame.elements[k][i] for k in range(d)))
-            for i in range(frame.ambient_dim))
-        gens = []
-        for lam in lams:
-            exponent = tuple(_as_int(lam[k] - mins[k]) for k in range(d))
-            gens.append(exponent)
-        ideal = MonomialIdeal(d, tuple(sorted(gens, key=vkey)))
-        # within a coset the differences have integer frame coordinates, so
-        # the exponents above are automatically a minimal antichain
-        if any(e < 0 for g in ideal.gens for e in g):
-            raise InternalError(f"negative exponent in coset {label}")
-        degree = functional.degree(shift) if functional is not None else None
-        summands.append(Summand(label, gamma, shift, ideal, degree))
-
-    if len(summands) != group.order:
-        raise InternalError(f"module generators meet {len(summands)} of "
-                            f"{group.order} cosets")
+    for label in sorted(by_label):
+        members = by_label[label]
+        mins = [min(col) for col in zip(*(num for _, num in members))]
+        gens = [tuple(_exact(a - lo, p) for a, lo, p in zip(num, mins, dens))
+                for _, num in members]
+        # within a coset the exponents are automatically a minimal antichain
+        ideal = MonomialIdeal(frame.dim, tuple(sorted(gens, key=vkey)))
+        shift = tuple(c - sum(e * f[i] for e, f in zip(gens[0], frame.elements))
+                      for i, c in enumerate(members[0][0]))
+        # frame elements have degree one, so deg(shift) = sum(mins[k] / dens[k])
+        degree = _exact(sum(lo * (common // p) for lo, p in zip(mins, dens)),
+                        common) if semigroup.is_homogeneous else None
+        summands.append(Summand(label, tuple(x for x, _ in members), shift,
+                                ideal, degree))
     return Decomposition(frame, group.order, group.invariant_factors,
                          tuple(summands))
 
 
-def _as_int(q: Fraction) -> int:
-    if q.denominator != 1:
-        raise InternalError(f"expected an integer, got {q}")
-    return int(q)
+def _exact(a: int, p: int) -> int:
+    q, r = divmod(a, p)
+    if r:
+        raise InternalError(f"{a} is not a multiple of {p}")
+    return q
 
 
 def shift_degrees(dec: Decomposition,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .decomposition import Decomposition, MonomialIdeal, decompose
 from .errors import (
+    InternalError,
     InvalidCharacteristicError,
     NotHomogeneousError,
     NotSimplicialError,
@@ -116,7 +117,8 @@ def _reduced_homology_dims(faces: list[tuple[int, ...]], char: int) -> dict[int,
     dims = {}
     for dim in range(-1, top + 1):
         h = len(by_dim.get(dim, ())) - ranks.get(dim, 0) - ranks.get(dim + 1, 0)
-        assert h >= 0
+        if h < 0:
+            raise InternalError(f"homology rank {h} in dimension {dim}")
         if h > 0:
             dims[dim] = h
     return dims
@@ -142,10 +144,12 @@ def betti_multigraded(ideal: MonomialIdeal, char: int = 0) -> dict[tuple[int, Ve
     out: dict[tuple[int, Vec], int] = {}
     for b in _lcm_lattice(ideal):
         faces = _upper_koszul_faces(ideal, b)
-        assert () in faces  # x^b itself lies in the ideal
+        if () not in faces:  # x^b itself lies in the ideal
+            raise InternalError(f"lcm {b} is outside the ideal")
         for dim, h in _reduced_homology_dims(faces, char).items():
             i = dim + 1
-            assert i <= ideal.num_vars - 1
+            if i >= ideal.num_vars:
+                raise InternalError(f"Betti number in index {i} > pd bound")
             out[(i, b)] = h
     return out
 
@@ -190,7 +194,8 @@ def analyze(semigroup: AffineSemigroup, char: int = 0,
     if dec is None:
         dec = decompose(semigroup)
     for e in dec.frame.elements:
-        assert functional.degree(e) == 1
+        if functional.degree(e) != 1:
+            raise InternalError(f"frame element {e} is not of degree one")
 
     d = dec.frame.dim
     tables: dict[MonomialIdeal, BettiTable] = {}

@@ -1,10 +1,10 @@
 """Exact integer linear algebra.
 
 Ranks, solves and coordinates all come from one fraction-free Gauss-Jordan
-routine, :func:`echelon`, over Z or mod a prime; ``Fraction`` appears only in
-rational results and in the exact simplex.  No floating point is used
-anywhere.  Matrices are lists of row lists, vectors are tuples.  All
-functions are pure.
+routine, :func:`echelon`, over Z or mod a prime, whose row update the
+cone-membership simplex shares; ``Fraction`` appears only in rational
+results.  No floating point is used anywhere.  Matrices are lists of row
+lists, vectors are tuples.  All functions are pure.
 
 Conventions fixed project-wide:
 
@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import (
     AmbiguousSolutionError,
     InfiniteQuotientError,
+    InternalError,
     NotInLatticeError,
 )
 
@@ -57,7 +58,8 @@ def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
-    assert all(len(r) == ncols for r in mat)
+    if any(len(r) != ncols for r in mat):
+        raise InternalError("ragged matrix")
     D = [list(r) for r in mat]
     U = identity(nrows)
     V = identity(ncols)
@@ -196,6 +198,13 @@ def _content_free(row: list[int]) -> list[int]:
     return [a // g for a in row] if g > 1 else row
 
 
+def _eliminate(row: list[int], prow: list[int], col: int) -> list[int]:
+    """``row`` with its ``col`` entry cleared by the pivot row ``prow``
+    (``prow[col] > 0``): a primitive positive multiple of the rational update."""
+    pv, f = prow[col], row[col]
+    return _content_free([pv * a - f * b for a, b in zip(row, prow)])
+
+
 def _dot(a: Vec, b: Vec) -> int:
     return sum(x * y for x, y in zip(a, b))
 
@@ -229,7 +238,6 @@ def echelon(rows: list[Vec] | IntMatrix, char: int = 0) -> tuple[IntMatrix, list
         else:
             prow = _content_free([-a for a in prow] if prow[col] < 0 else prow)
         work[r] = prow
-        pv = prow[col]
         for i, row in enumerate(work):
             f = row[col]
             if i == r or not f:
@@ -237,7 +245,7 @@ def echelon(rows: list[Vec] | IntMatrix, char: int = 0) -> tuple[IntMatrix, list
             if char:
                 work[i] = [(a - f * b) % char for a, b in zip(row, prow)]
             else:
-                work[i] = _content_free([pv * a - f * b for a, b in zip(row, prow)])
+                work[i] = _eliminate(row, prow, col)
         pivots.append(col)
     return work[:len(pivots)], pivots
 
@@ -339,10 +347,7 @@ class FiniteAbelianGroup:
         self._solver = SpanSolver.of(self._sup) if self._sup else None
         self.invariant_factors: tuple[int, ...] = tuple(
             f for f in diag if f > 1)
-        order = 1
-        for f in self.invariant_factors:
-            order *= f
-        self.order: int = order
+        self.order: int = prod(self.invariant_factors)
         self._keep = [i for i, f in enumerate(diag) if f > 1]
 
     def coords(self, x: list[int] | Vec) -> tuple[int, ...]:
@@ -403,65 +408,51 @@ def quotient_group(sup_basis: IntMatrix, sub_gens: list[Vec] | IntMatrix) -> Fin
 
 
 # ---------------------------------------------------------------------------
-# Exact cone membership (phase-1 simplex over Q)
+# Exact cone membership (fraction-free phase-1 simplex)
 # ---------------------------------------------------------------------------
 
 def nonnegative_combination_exists(vectors: list[Vec], target: Vec) -> bool:
     """Whether ``target`` equals a rational combination of ``vectors`` with
     nonnegative coefficients.
 
-    Phase-1 simplex with Bland's rule on exact fractions; Bland's rule rules
-    out cycling, so this always terminates.
+    Phase-1 simplex with Bland's rule, which rules out cycling, so this
+    always terminates.  The tableau is fraction-free: every row, the
+    objective row included, is an integer positive multiple of its rational
+    counterpart, kept primitive by :func:`_eliminate`, so signs, and ratios
+    within a row, are those of the rational tableau.
     """
     m = len(target)
     k = len(vectors)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i in range(m):
-        coeffs = [Fraction(v[i]) for v in vectors]
-        b = Fraction(target[i])
-        if b < 0:
-            coeffs = [-c for c in coeffs]
-            b = -b
-        rows.append(coeffs + [Fraction(0)] * m)
-        rhs.append(b)
-    for i in range(m):
-        rows[i][k + i] = Fraction(1)
+    # row i: constraint i (sign-flipped to a nonnegative right-hand side),
+    # artificial variable i, right-hand side
+    rows = []
+    for i, b in enumerate(target):
+        sign = -1 if b < 0 else 1
+        rows.append([sign * v[i] for v in vectors]
+                    + [int(i == j) for j in range(m)] + [sign * b])
+    # reduced costs of the phase-1 objective, the artificials' sum, then -sum
+    objective = ([-sum(row[j] for row in rows) for j in range(k)] + [0] * m
+                 + [-sum(row[-1] for row in rows)])
     basis = list(range(k, k + m))
-    cost = [Fraction(0)] * k + [Fraction(1)] * m
-
-    def reduced_costs() -> list[Fraction]:
-        out = []
-        for j in range(k + m):
-            cj = cost[j] - sum(cost[basis[i]] * rows[i][j] for i in range(m))
-            out.append(cj)
-        return out
-
     while True:
-        red = reduced_costs()
-        enter = next((j for j in range(k + m) if red[j] < 0), None)
+        enter = next((j for j in range(k + m) if objective[j] < 0), None)
         if enter is None:
             break
+        # phase 1 is bounded below by 0, so some entry of the column is > 0
         leave = None
-        best = None
-        for i in range(m):
-            if rows[i][enter] > 0:
-                ratio = rhs[i] / rows[i][enter]
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+        for i, row in enumerate(rows):
+            if row[enter] > 0:
+                if leave is None:
                     leave = i
-        if leave is None:
-            # unbounded phase-1 cannot happen with artificials, be safe
-            return False
-        pv = rows[leave][enter]
-        rows[leave] = [a / pv for a in rows[leave]]
-        rhs[leave] /= pv
-        for i in range(m):
-            if i != leave and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[leave])]
-                rhs[i] -= f * rhs[leave]
+                    continue
+                # rhs_i / a_i vs rhs_leave / a_leave, cross-multiplied (a > 0)
+                cmp = row[-1] * rows[leave][enter] - rows[leave][-1] * row[enter]
+                if cmp < 0 or cmp == 0 and basis[i] < basis[leave]:
+                    leave = i
+        prow = rows[leave]
+        for i, row in enumerate(rows):
+            if i != leave and row[enter]:
+                rows[i] = _eliminate(row, prow, enter)
+        objective = _eliminate(objective, prow, enter)
         basis[leave] = enter
-    objective = sum(cost[basis[i]] * rhs[i] for i in range(m))
-    return objective == 0
+    return objective[-1] == 0

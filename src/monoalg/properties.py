@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decomposition import Decomposition, decompose
+from .errors import InternalError
 from .semigroup import AffineSemigroup, vkey
 
 
@@ -39,11 +40,11 @@ def _dec(semigroup: AffineSemigroup, dec: Decomposition | None) -> Decomposition
 
 
 def _lambda_scan(dec: Decomposition, strict: bool) -> tuple[bool, dict | None]:
+    frame = dec.frame
     for x in dec.module_generators():
-        lam = dec.frame.coordinates(x)
-        bad = max(lam) > 1 if strict else max(lam) >= 1
-        if bad:
-            return False, {"element": x, "lambda": lam}
+        if any(a > p if strict else a >= p
+               for a, p in zip(frame.numerators(x), frame.denominators)):
+            return False, {"element": x, "lambda": frame.coordinates(x)}
     return True, None
 
 
@@ -129,10 +130,9 @@ def full_report(semigroup: AffineSemigroup,
     cm, cm_w = is_cohen_macaulay(semigroup, dec)
     bb, bb_w = is_buchsbaum(semigroup, dec)
     go, go_w = is_gorenstein(semigroup, dec)
-    assert not nr or sn
-    assert not nr or cm
-    assert not go or cm
-    assert not cm or bb
+    if (nr and not (sn and cm)) or (go and not cm) or (cm and not bb):
+        raise InternalError("normal => seminormal and Cohen-Macaulay, "
+                            "Gorenstein => Cohen-Macaulay => Buchsbaum fails")
     return PropertyReport(
         seminormal=sn, normal=nr, cohen_macaulay=cm, buchsbaum=bb,
         gorenstein=go,

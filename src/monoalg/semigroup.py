@@ -3,8 +3,9 @@
 The central object is :class:`AffineSemigroup`: an ordered list of distinct
 nonzero generators with lazily computed cone and lattice data.  Geometry is
 exact: frame coordinates come from the integer elimination kernel of
-:mod:`.intlinalg`, extreme rays from an exact simplex.  The module generators
-over the frame come from one best-first search on integer frame coordinates.
+:mod:`.intlinalg`, extreme rays from its fraction-free simplex on the
+generators with support inside the candidate's, and the module generators
+over the frame, grouped by coset, from one best-first search on numerators.
 """
 
 from __future__ import annotations
@@ -43,9 +44,7 @@ def vkey(v: Vec) -> tuple[int, Vec]:
 
 
 def primitive(v: Vec) -> Vec:
-    g = 0
-    for e in v:
-        g = gcd(g, e)
+    g = gcd(*v)
     return tuple(e // g for e in v)
 
 
@@ -73,8 +72,13 @@ class Frame:
     def ambient_dim(self) -> int:
         return len(self.elements[0])
 
-    def coordinates(self, x: Vec) -> tuple[Fraction, ...]:
-        """The unique rational ``lam`` with ``sum(lam[k]*e_k) == x``."""
+    @property
+    def denominators(self) -> tuple[int, ...]:
+        """The ``p`` with ``coordinates(x)[k] == numerators(x)[k] / p[k]``."""
+        return self._solver.denominators
+
+    def numerators(self, x: Vec) -> tuple[int, ...]:
+        """Integer numerators of :meth:`coordinates`, linear in ``x``."""
         if len(x) != self.ambient_dim:
             raise DimensionMismatchError(
                 f"vector has length {len(x)}, ambient dimension is {self.ambient_dim}")
@@ -82,8 +86,11 @@ class Frame:
         if nums is None:
             raise OutsideSpanError(
                 f"{tuple(x)} is outside the rational span of the frame")
-        return tuple(Fraction(a, p)
-                     for a, p in zip(nums, self._solver.denominators))
+        return nums
+
+    def coordinates(self, x: Vec) -> tuple[Fraction, ...]:
+        """The unique rational ``lam`` with ``sum(lam[k]*e_k) == x``."""
+        return tuple(map(Fraction, self.numerators(x), self.denominators))
 
 
 @dataclass(frozen=True)
@@ -158,34 +165,29 @@ class AffineSemigroup:
     # -- cone geometry ----------------------------------------------------------
 
     @cached_property
-    def _ray_groups(self) -> tuple[tuple[Vec, tuple[int, ...]], ...]:
-        """Generators grouped by primitive direction.
-
-        Groups are ordered by descending tuple order of the directions, the
-        usual lex convention for variables (x_1 is the lex-largest
-        direction), so a standard basis comes out as e_1, ..., e_d.
-        """
-        groups: dict[Vec, list[int]] = {}
-        for i, g in enumerate(self.generators):
-            groups.setdefault(primitive(g), []).append(i)
-        return tuple(sorted(((d, tuple(ix)) for d, ix in groups.items()),
-                            reverse=True))
-
-    @cached_property
     def _extreme_ray_indices(self) -> tuple[int, ...]:
+        # A direction is extreme iff its representative g is no nonnegative
+        # combination of the other directions' generators.  These lie in N^m,
+        # so only those with support inside supp(g) can take part.
+        directions = [primitive(g) for g in self.generators]
         reps = []
-        for direction, indices in self._ray_groups:
-            rep = min(indices, key=lambda i: vkey(self.generators[i]))
-            others = [self.generators[i]
-                      for d2, ix in self._ray_groups if d2 != direction
-                      for i in ix]
-            if not nonnegative_combination_exists(others, self.generators[rep]):
+        for direction in sorted(set(directions), reverse=True):
+            rep = min((i for i, d in enumerate(directions) if d == direction),
+                      key=lambda i: vkey(self.generators[i]))
+            support = [c for c, e in enumerate(self.generators[rep]) if e]
+            others = [tuple(h[c] for c in support)
+                      for h, d in zip(self.generators, directions)
+                      if d != direction and sum(h) == sum(h[c] for c in support)]
+            target = tuple(self.generators[rep][c] for c in support)
+            if not others or not nonnegative_combination_exists(others, target):
                 reps.append(rep)
         return tuple(reps)
 
     def extreme_rays(self) -> tuple[int, ...]:
         """One representative generator index per extreme ray, ordered by
-        descending tuple order of the primitive ray directions."""
+        descending tuple order of the primitive ray directions (the usual lex
+        convention: x_1 is the lex-largest, and a standard basis comes out as
+        e_1, ..., e_d)."""
         return self._extreme_ray_indices
 
     def is_simplicial(self) -> bool:
@@ -234,7 +236,7 @@ class AffineSemigroup:
     # -- module generators over the frame ------------------------------------------
 
     @cached_property
-    def _module_generators(self) -> tuple[Vec, ...]:
+    def _module_search(self) -> tuple[tuple[Vec, ...], tuple[tuple, ...]]:
         # Every x in B is m + (frame combination) for a module generator m,
         # so x is one iff no other module generator m of its coset has
         # lam(m) <= lam(x).  Such an m has a smaller coordinate sum, so
@@ -243,21 +245,20 @@ class AffineSemigroup:
         # reaches them all.  Frame numerators are carried additively, and
         # their residues modulo the denominators key the coset.
         frame = self.frame()
-        solver = frame._solver
-        extras = [(g, solver.numerators(g)) for g in self.generators
+        dens = frame.denominators
+        extras = [(g, frame.numerators(g)) for g in self.generators
                   if g not in frame.elements]
         zero = (0,) * self.ambient_dim
         heap = [(0, zero, (0,) * frame.dim)]
         seen = {zero}
-        kept: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        kept: dict[tuple[int, ...], list[tuple[Vec, tuple[int, ...]]]] = {}
         result = []
         while heap:
             _, x, num = heapq.heappop(heap)
-            coset = kept.setdefault(
-                tuple(a % p for a, p in zip(num, solver.denominators)), [])
-            if any(all(map(operator.le, m, num)) for m in coset):
+            coset = kept.setdefault(tuple(a % p for a, p in zip(num, dens)), [])
+            if any(all(map(operator.le, m, num)) for _, m in coset):
                 continue
-            coset.append(num)
+            coset.append((x, num))
             result.append(x)
             for b, nb in extras:
                 y = tuple(map(operator.add, x, b))
@@ -265,12 +266,18 @@ class AffineSemigroup:
                     seen.add(y)
                     heapq.heappush(
                         heap, (sum(y), y, tuple(map(operator.add, num, nb))))
-        return tuple(result)
+        return tuple(result), tuple(map(tuple, kept.values()))
 
     def module_generators(self) -> tuple[Vec, ...]:
         """The elements of B from which no frame generator can be subtracted
         inside B, sorted by :func:`vkey`."""
-        return self._module_generators
+        return self._module_search[0]
+
+    def module_generator_cosets(self) -> tuple[tuple[tuple[Vec, Vec], ...], ...]:
+        """The module generators, each with its :meth:`Frame.numerators`,
+        grouped by class modulo the frame lattice; :func:`vkey` order within
+        a class, classes in the order of their first element."""
+        return self._module_search[1]
 
 
 def validate(gens) -> AffineSemigroup:

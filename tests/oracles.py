@@ -5,7 +5,8 @@ local linear solves; nothing calls into the package's decomposition,
 module-generator, or homology code paths, so agreement is meaningful.
 Restricted to the small ambient dimensions the tests use (m <= 2 for the
 semigroup oracles), except for :func:`box_module_generators`, which takes
-its frame from the package and works in any dimension.
+its frame from the package and works in any dimension, and for the
+``Fraction`` simplex and :func:`lp_extreme_rays` built on it.
 """
 
 from __future__ import annotations
@@ -129,6 +130,76 @@ def solve_fractions(columns, target):
     out = [Fraction(0)] * n
     for i, col in enumerate(piv_cols):
         out[col] = aug[i][n]
+    return tuple(out)
+
+
+def fraction_nonnegative_combination_exists(vectors, target):
+    """Whether ``target`` is a nonnegative rational combination of
+    ``vectors``: phase-1 simplex with Bland's rule on ``Fraction``s, every
+    reduced cost recomputed from the basis on each pivot."""
+    m = len(target)
+    k = len(vectors)
+    rows = []
+    rhs = []
+    for i in range(m):
+        coeffs = [Fraction(v[i]) for v in vectors]
+        b = Fraction(target[i])
+        if b < 0:
+            coeffs = [-c for c in coeffs]
+            b = -b
+        rows.append(coeffs + [Fraction(0)] * m)
+        rhs.append(b)
+    for i in range(m):
+        rows[i][k + i] = Fraction(1)
+    basis = list(range(k, k + m))
+    cost = [Fraction(0)] * k + [Fraction(1)] * m
+
+    def reduced_costs():
+        return [cost[j] - sum(cost[basis[i]] * rows[i][j] for i in range(m))
+                for j in range(k + m)]
+
+    while True:
+        red = reduced_costs()
+        enter = next((j for j in range(k + m) if red[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if rows[i][enter] > 0:
+                ratio = rhs[i] / rows[i][enter]
+                if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            return False
+        pv = rows[leave][enter]
+        rows[leave] = [a / pv for a in rows[leave]]
+        rhs[leave] /= pv
+        for i in range(m):
+            if i != leave and rows[i][enter] != 0:
+                f = rows[i][enter]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[leave])]
+                rhs[i] -= f * rhs[leave]
+        basis[leave] = enter
+    return sum(cost[basis[i]] * rhs[i] for i in range(m)) == 0
+
+
+def lp_extreme_rays(gens):
+    """Extreme-ray representatives as in ``AffineSemigroup.extreme_rays``:
+    per primitive direction (descending), the generator of least (sum, lex),
+    kept when the Fraction simplex finds it outside the cone of all the
+    generators of the other directions, with no support restriction."""
+    gens = [tuple(g) for g in gens]
+    directions = sorted({_primitive(g) for g in gens}, reverse=True)
+    out = []
+    for d in directions:
+        on_ray = [i for i, g in enumerate(gens) if _primitive(g) == d]
+        rep = min(on_ray, key=lambda i: (sum(gens[i]), gens[i]))
+        others = [g for g in gens if _primitive(g) != d]
+        if not fraction_nonnegative_combination_exists(others, gens[rep]):
+            out.append(rep)
     return tuple(out)
 
 

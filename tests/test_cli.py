@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -324,6 +325,15 @@ class TestSweepCommand:
         doc = json.loads(first)
         assert doc["analyzed"] + doc["skipped"] == 25
         assert doc["eg_violations"] == []
+
+    def test_seeded_sweep_hash(self, capsys):
+        # the seeded sweep's output is pinned byte for byte
+        code, out, _ = run_cli(
+            ["sweep", "--json", "--count", "60", "--seed", "3", "--dim", "3",
+             "--gens", "6", "--max-entry", "7"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "dd7f3ff01acb0d1dd1a3adbd1f56fe2c597b14922dc83fc975737c489453bd82")
 
     def test_bad_config_is_usage_error(self, capsys):
         code, _, err = run_cli(["sweep", "--gens", "1", "--dim", "2"], capsys)

@@ -155,9 +155,9 @@ class TestInvariants:
 
     def test_missed_coset_raises(self, sec3, monkeypatch):
         # (3, 0, 1) is alone in its coset, so dropping it leaves 7 of 8
-        found = sec3.module_generators()
-        monkeypatch.setattr(sec3, "module_generators",
-                            lambda: tuple(x for x in found if x != (3, 0, 1)))
+        found = sec3.module_generator_cosets()
+        monkeypatch.setattr(sec3, "module_generator_cosets", lambda: tuple(
+            c for c in found if c[0][0] != (3, 0, 1)))
         with pytest.raises(InternalError):
             decompose(sec3)
 
@@ -166,9 +166,9 @@ class TestInvariants:
             "from monoalg import decompose, validate\n"
             "from monoalg.errors import InternalError\n"
             f"B = validate({SEC3_GENS!r})\n"
-            "found = B.module_generators()\n"
-            "B.module_generators = lambda: tuple(\n"
-            "    x for x in found if x != (3, 0, 1))\n"
+            "found = B.module_generator_cosets()\n"
+            "B.module_generator_cosets = lambda: tuple(\n"
+            "    c for c in found if c[0][0] != (3, 0, 1))\n"
             "try:\n"
             "    decompose(B)\n"
             "except InternalError:\n"
@@ -179,6 +179,26 @@ class TestInvariants:
                               capture_output=True, text=True, env=env,
                               check=True)
         assert proc.stdout == "raised\n"
+
+    def test_split_coset_raises(self, sec3, monkeypatch):
+        # the two halves of one class get the same label
+        found = sec3.module_generator_cosets()
+        big = next(c for c in found if len(c) > 1)
+        fake = tuple(c for c in found if c is not big) + (big[:1], big[1:])
+        monkeypatch.setattr(sec3, "module_generator_cosets", lambda: fake)
+        with pytest.raises(InternalError):
+            decompose(sec3)
+
+    def test_non_divisible_numerators_raise(self, sec3, monkeypatch):
+        # (3, 0, 1) joins the class of 0; its frame numerators differ from
+        # those of 0 by a non-multiple of the denominators
+        found = sec3.module_generator_cosets()
+        stray = next(c[0] for c in found if c[0][0] == (3, 0, 1))
+        fake = tuple(c + (stray,) if c[0][0] == (0, 0, 0) else c
+                     for c in found)
+        monkeypatch.setattr(sec3, "module_generator_cosets", lambda: fake)
+        with pytest.raises(InternalError, match="not a multiple"):
+            decompose(sec3)
 
 
 class TestHilbertVerify:

@@ -22,7 +22,13 @@ from monoalg.intlinalg import (
     solve_rational_canonical,
 )
 from monoalg.semigroup import Frame
-from oracles import brute_rank, det, mat_mul, solve_fractions
+from oracles import (
+    brute_rank,
+    det,
+    fraction_nonnegative_combination_exists,
+    mat_mul,
+    solve_fractions,
+)
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
@@ -30,6 +36,22 @@ small_matrices = st.integers(1, 4).flatmap(
             st.lists(st.integers(-9, 9), min_size=c, max_size=c),
             min_size=r, max_size=r)))
 
+
+
+@st.composite
+def cone_problems(draw):
+    """Mixed-sign vectors in Z^m (possibly none) and a target that is either
+    arbitrary or a nonnegative integer combination of them (possibly 0)."""
+    m = draw(st.integers(1, 4))
+    vecs = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * m), max_size=5))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(0, 3), min_size=len(vecs),
+                               max_size=len(vecs)))
+        target = tuple(sum(c * v[i] for c, v in zip(coeffs, vecs))
+                       for i in range(m))
+    else:
+        target = draw(st.tuples(*[st.integers(-6, 6)] * m))
+    return vecs, target
 
 
 @st.composite
@@ -327,3 +349,15 @@ class TestConeMembership:
             target = [a + c * b for a, b in zip(target, v)]
         assert nonnegative_combination_exists(
             [tuple(v) for v in vecs], tuple(target))
+
+    @given(cone_problems())
+    @example(([], (0, 0)))
+    @example(([], (1, -1)))
+    @example(([(1, -1), (-1, 1)], (0, 0)))
+    @example(([(1, -1), (-1, 1)], (2, -2)))
+    @example(([(2, 1), (1, 2), (-1, -1)], (3, 3)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_simplex(self, problem):
+        vecs, target = problem
+        assert nonnegative_combination_exists(vecs, target) == \
+            fraction_nonnegative_combination_exists(vecs, target)

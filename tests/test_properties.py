@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import monoalg
 from monoalg import (
     decompose,
     full_report,
@@ -217,6 +222,24 @@ class TestFullReport:
                         base.seminormal, base.normal, base.cohen_macaulay,
                         base.buchsbaum, base.gorenstein)
             assert report.witnesses == base.witnesses
+
+    def test_broken_implication_raises_under_optimize(self):
+        # sec3 is not seminormal, so a test claiming normality breaks
+        # normal => seminormal
+        code = (
+            "from monoalg import properties, validate\n"
+            "from monoalg.errors import InternalError\n"
+            "properties.is_normal = lambda semigroup, dec=None: (True, None)\n"
+            "try:\n"
+            f"    properties.full_report(validate({SEC3_GENS!r}))\n"
+            "except InternalError:\n"
+            "    print('raised')\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(monoalg.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, env=env,
+                              check=True)
+        assert proc.stdout == "raised\n"
 
 
 class TestOracleEquivalence:

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from monoalg import validate
@@ -19,7 +19,26 @@ from monoalg.errors import (
 from monoalg.semigroup import Frame
 from monoalg.sweep import random_simplicial_instance
 from conftest import NONSIMPLICIAL_GENS, SEC3_GENS
-from oracles import box_module_generators, brute_module_generators, members_up_to
+from oracles import (
+    box_module_generators,
+    brute_module_generators,
+    lp_extreme_rays,
+    members_up_to,
+)
+
+
+@st.composite
+def ray_sets(draw):
+    """Distinct nonzero generators in N^m (m <= 4, often non-simplicial),
+    plus multiples of some of them, so that several share a ray."""
+    m = draw(st.integers(2, 4))
+    base = draw(st.lists(st.tuples(*[st.integers(0, 4)] * m).filter(any),
+                         min_size=1, max_size=7, unique=True))
+    scaled = [tuple(c * e for e in base[i]) for i, c in draw(st.lists(
+        st.tuples(st.integers(0, len(base) - 1), st.integers(2, 3)),
+        max_size=3))]
+    return list(dict.fromkeys(base + scaled))
+
 
 # small random generator sets in N^1 or N^2, entries <= 6
 gen_sets = st.integers(1, 2).flatmap(
@@ -66,6 +85,13 @@ class TestConeGeometry:
     def test_two_dim_boundary(self):
         B = validate([(1, 0), (1, 1), (1, 2)])
         assert {B.generators[i] for i in B.extreme_rays()} == {(1, 0), (1, 2)}
+
+    @given(ray_sets())
+    @example(NONSIMPLICIAL_GENS)
+    @example([(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 3, 0), (1, 1, 0), (0, 0, 2)])
+    @settings(max_examples=300, deadline=None)
+    def test_against_unrestricted_lp(self, gens):
+        assert validate(gens).extreme_rays() == lp_extreme_rays(gens)
 
     def test_simplicial(self, sec3):
         assert sec3.is_simplicial()
