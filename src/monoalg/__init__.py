@@ -9,7 +9,6 @@ from .decomposition import (
     Summand,
     decompose,
     hilbert_verify,
-    shift_degrees,
 )
 from .homology import (
     BettiTable,
@@ -26,7 +25,6 @@ from .intlinalg import (
     lattice_basis,
     quotient_group,
     smith_normal_form,
-    solve_rational,
 )
 from .properties import (
     PropertyReport,
@@ -72,8 +70,6 @@ __all__ = [
     "quotient_group",
     "reg_of",
     "run_sweep",
-    "shift_degrees",
     "smith_normal_form",
-    "solve_rational",
     "validate",
 ]

@@ -4,11 +4,14 @@ For a simplicial semigroup the frame generates a free subsemigroup A, so the
 frame ring is a polynomial ring in d variables.  Grouping the minimal module
 generators by their class modulo the frame lattice yields, per class, a shift
 vector and a monomial ideal in frame coordinates; together these describe the
-semigroup ring as a finite direct sum of shifted monomial ideals.
+semigroup ring as a finite direct sum of shifted monomial ideals.  The classes,
+their labels and every generator's frame numerators come from the
+module-generator search; the summands carry the numerators on.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import lcm
 
@@ -101,15 +104,23 @@ def _compositions(total: int, parts: int):
 
 @dataclass(frozen=True)
 class Summand:
-    """One class of the decomposition: its module generators ``gamma``, the
-    componentwise frame-coordinate minimum ``shift``, and the resulting
-    monomial ideal in frame coordinates."""
+    """One class of the decomposition: its module generators ``gamma`` with
+    their :meth:`Frame.numerators` ``gamma_numerators``, the componentwise
+    frame-coordinate minimum ``shift`` and its degree (``None`` unless the
+    semigroup is homogeneous), and the resulting monomial ideal in frame
+    coordinates."""
 
     coset: tuple[int, ...]
     gamma: tuple[Vec, ...]
+    gamma_numerators: tuple[tuple[int, ...], ...]
     shift: Vec
     ideal: MonomialIdeal
     shift_degree: int | None
+
+    @property
+    def shift_numerators(self) -> tuple[int, ...]:
+        """The frame numerators of ``shift``, the minima over gamma's."""
+        return tuple(map(min, zip(*self.gamma_numerators)))
 
 
 @dataclass(frozen=True)
@@ -119,35 +130,34 @@ class Decomposition:
     invariant_factors: tuple[int, ...]
     summands: tuple[Summand, ...]
 
-    def module_generators(self) -> tuple[Vec, ...]:
-        return tuple(sorted((v for s in self.summands for v in s.gamma),
-                            key=vkey))
-
 
 def decompose(semigroup: AffineSemigroup) -> Decomposition:
     """Decompose the semigroup ring over its frame ring, in integers, from
-    the classes and frame numerators of the module-generator search.
+    the labelled classes and frame numerators of the module-generator
+    search; no element is projected or solved for again here.
 
     Raises :class:`NotSimplicialError` for non-simplicial cones, where the
     shifts would not be unique, and :class:`InternalError` when the search's
-    classes disagree with the quotient group.
+    classes disagree with the quotient group: a label shared by two classes,
+    a class count other than the group order, or a class whose numerators
+    differ by a non-multiple of the denominators.
     """
     frame = semigroup.frame()
     group = semigroup.quotient()
     dens = frame.denominators
     common = lcm(*dens)
     cosets = semigroup.module_generator_cosets()
-    by_label = {group.project(members[0][0]): members for members in cosets}
+    by_label = dict(cosets)
     if not len(cosets) == len(by_label) == group.order:
         raise InternalError(f"module generators meet {len(by_label)} of "
                             f"{group.order} cosets in {len(cosets)} classes")
 
     summands = []
-    for label in sorted(by_label):
-        members = by_label[label]
-        mins = [min(col) for col in zip(*(num for _, num in members))]
+    for label, members in sorted(by_label.items()):
+        nums = tuple(num for _, num in members)
+        mins = [min(col) for col in zip(*nums)]
         gens = [tuple(_exact(a - lo, p) for a, lo, p in zip(num, mins, dens))
-                for _, num in members]
+                for num in nums]
         # within a coset the exponents are automatically a minimal antichain
         ideal = MonomialIdeal(frame.dim, tuple(sorted(gens, key=vkey)))
         shift = tuple(c - sum(e * f[i] for e, f in zip(gens[0], frame.elements))
@@ -155,8 +165,8 @@ def decompose(semigroup: AffineSemigroup) -> Decomposition:
         # frame elements have degree one, so deg(shift) = sum(mins[k] / dens[k])
         degree = _exact(sum(lo * (common // p) for lo, p in zip(mins, dens)),
                         common) if semigroup.is_homogeneous else None
-        summands.append(Summand(label, tuple(x for x, _ in members), shift,
-                                ideal, degree))
+        summands.append(Summand(label, tuple(x for x, _ in members), nums,
+                                shift, ideal, degree))
     return Decomposition(frame, group.order, group.invariant_factors,
                          tuple(summands))
 
@@ -168,24 +178,24 @@ def _exact(a: int, p: int) -> int:
     return q
 
 
-def shift_degrees(dec: Decomposition,
-                  functional: DegreeFunctional | None) -> dict[tuple[int, ...], int]:
-    """Degree of each summand's shift; requires a homogeneous semigroup."""
-    if functional is None:
-        raise NotHomogeneousError("the semigroup admits no degree functional")
-    return {s.coset: functional.degree(s.shift) for s in dec.summands}
-
-
 def hilbert_verify(semigroup: AffineSemigroup, dec: Decomposition,
                    functional: DegreeFunctional | None, t_max: int) -> bool:
     """Independent soundness check of the decomposition.
 
-    Counts semigroup elements of each degree up to ``t_max`` by direct
-    enumeration and compares with the total staircase counts of the shifted
-    ideals.  The two sides share no code path.
+    Returns False when a summand's ``shift_degree`` differs from the degree
+    ``functional`` gives its shift.  Otherwise counts semigroup elements of
+    each degree up to ``t_max`` by direct enumeration and compares with the
+    total staircase counts of the shifted ideals, each distinct ``(ideal,
+    shift_degree)`` pair counted once and weighted by its summands.  The
+    two sides share no code path.
     """
     if functional is None:
         raise NotHomogeneousError("the semigroup admits no degree functional")
+    shifted = Counter()
+    for s in dec.summands:
+        if s.shift_degree != functional.degree(s.shift):
+            return False
+        shifted[s.ideal, s.shift_degree] += 1
     zero = (0,) * semigroup.ambient_dim
     # generators all have degree one, so the sums of exactly t generators
     # are precisely the degree-t elements
@@ -196,10 +206,9 @@ def hilbert_verify(semigroup: AffineSemigroup, dec: Decomposition,
                  for x in layer for g in semigroup.generators}
         left.append(len(layer))
 
-    shifts = [functional.degree(s.shift) for s in dec.summands]
     for t in range(t_max + 1):
-        right = sum(s.ideal.monomial_count_in_degree(t - dg)
-                    for s, dg in zip(dec.summands, shifts))
+        right = sum(n * ideal.monomial_count_in_degree(t - dg)
+                    for (ideal, dg), n in shifted.items())
         if right != left[t]:
             return False
     return True

@@ -92,10 +92,6 @@ class NotInLatticeError(MonoalgError):
     pass
 
 
-class AmbiguousSolutionError(MonoalgError):
-    pass
-
-
 class OutsideSpanError(MonoalgError):
     pass
 

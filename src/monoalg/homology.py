@@ -34,7 +34,7 @@ class BettiTable:
     entries: dict[tuple[int, int], int]
 
     def triples(self) -> list[tuple[int, int, int]]:
-        """Sorted (index, degree, rank) triples, the serialization form."""
+        """Sorted (index, degree, rank) triples."""
         return sorted((i, j, r) for (i, j), r in self.entries.items())
 
     def regularity(self) -> int:
@@ -188,14 +188,10 @@ def analyze(semigroup: AffineSemigroup, char: int = 0,
     check_characteristic(char)
     if not semigroup.is_simplicial():
         raise NotSimplicialError("regularity needs a simplicial cone")
-    functional = semigroup.degree_functional()
-    if functional is None:
+    if not semigroup.is_homogeneous:
         raise NotHomogeneousError("regularity needs a homogeneous semigroup")
     if dec is None:
         dec = decompose(semigroup)
-    for e in dec.frame.elements:
-        if functional.degree(e) != 1:
-            raise InternalError(f"frame element {e} is not of degree one")
 
     d = dec.frame.dim
     tables: dict[MonomialIdeal, BettiTable] = {}

@@ -21,7 +21,6 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .errors import (
-    AmbiguousSolutionError,
     InfiniteQuotientError,
     InternalError,
     NotInLatticeError,
@@ -255,27 +254,12 @@ def rank(rows: list[Vec] | IntMatrix, char: int = 0) -> int:
     return len(echelon(rows, char)[1])
 
 
-def solve_rational(mat: IntMatrix, rhs: list[int] | Vec) -> tuple[Fraction, ...] | None:
-    """Solve ``mat @ x == rhs`` exactly over Q.
-
-    Returns the unique solution when the columns of ``mat`` are independent
-    and ``rhs`` lies in their span, ``None`` when the system is inconsistent,
-    and raises :class:`AmbiguousSolutionError` for dependent columns with a
-    consistent right-hand side.
-    """
-    sol = solve_rational_canonical(mat, rhs)
-    if sol is not None and rank(mat) < len(sol):
-        raise AmbiguousSolutionError("columns are linearly dependent")
-    return sol
-
-
 def solve_rational_canonical(mat: IntMatrix, rhs: list[int] | Vec) -> tuple[Fraction, ...] | None:
     """Some exact solution of ``mat @ x == rhs`` or ``None`` if inconsistent.
 
-    Unlike :func:`solve_rational` this tolerates dependent columns; free
-    variables are pinned to zero, which makes the returned solution
-    canonical for a fixed column order.  It is read off the reduced echelon
-    form of ``[mat | rhs]``, which is unique.
+    Dependent columns are fine: free variables are pinned to zero, which
+    makes the returned solution canonical for a fixed column order.  It is
+    read off the reduced echelon form of ``[mat | rhs]``, which is unique.
     """
     if len(rhs) != len(mat):
         # a shape mismatch can never be consistent
@@ -339,12 +323,12 @@ class FiniteAbelianGroup:
     cosets, so the residue tuple is the canonical coset key.
     """
 
-    def __init__(self, sup_basis: IntMatrix, diag: list[int],
+    def __init__(self, solver: SpanSolver | None, diag: list[int],
                  col_transform: IntMatrix):
-        self._sup = [row[:] for row in sup_basis]
+        # ``solver`` gives coordinates in the basis of L; None when L = 0
+        self._solver = solver
         self._diag = list(diag)
         self._v = [row[:] for row in col_transform]
-        self._solver = SpanSolver.of(self._sup) if self._sup else None
         self.invariant_factors: tuple[int, ...] = tuple(
             f for f in diag if f > 1)
         self.order: int = prod(self.invariant_factors)
@@ -352,13 +336,14 @@ class FiniteAbelianGroup:
 
     def coords(self, x: list[int] | Vec) -> tuple[int, ...]:
         """Integer coordinates of ``x`` in the ambient lattice basis."""
-        if not self._sup:
+        if self._solver is None:
             if any(x):
                 raise NotInLatticeError(f"{tuple(x)} is not in the lattice")
             return ()
-        if len(x) != len(self._sup[0]):
+        m = len(self._solver.rows[0])
+        if len(x) != m:
             raise NotInLatticeError(
-                f"vector has length {len(x)}, ambient dimension is {len(self._sup[0])}")
+                f"vector has length {len(x)}, ambient dimension is {m}")
         nums = self._solver.numerators(x)
         dens = self._solver.denominators
         if nums is None or any(a % p for a, p in zip(nums, dens)):
@@ -395,16 +380,18 @@ def quotient_group(sup_basis: IntMatrix, sub_gens: list[Vec] | IntMatrix) -> Fin
     big lattice and :class:`InfiniteQuotientError` if the ranks differ.
     """
     r = len(sup_basis)
-    probe = FiniteAbelianGroup(sup_basis, [1] * r, identity(r))
+    solver = SpanSolver.of(sup_basis) if r else None
+    # the trivial quotient L / L reads the coordinates of sub_gens in L
+    probe = FiniteAbelianGroup(solver, [1] * r, identity(r))
     coeff_rows = [list(probe.coords(w)) for w in sub_gens]
     if r == 0:
-        return FiniteAbelianGroup([], [], [])
+        return probe
     _, d, v = smith_normal_form(coeff_rows)
     diag = [d[i][i] if i < len(d) else 0 for i in range(r)]
     if any(f == 0 for f in diag):
         raise InfiniteQuotientError(
             "sublattice has smaller rank, the quotient is infinite")
-    return FiniteAbelianGroup(sup_basis, diag, v)
+    return FiniteAbelianGroup(solver, diag, v)
 
 
 # ---------------------------------------------------------------------------

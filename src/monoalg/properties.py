@@ -11,6 +11,8 @@ All five tests are combinatorial conditions on one shared decomposition:
 * Gorenstein: Cohen-Macaulay and the shifts pair up against the unique
   shift of maximal coordinate sum.
 
+The two coordinate tests read the frame numerators that each summand carries
+from the module-generator search; nothing here solves for coordinates again.
 None of the tests depends on the coefficient field.  Witness objects are
 produced for every negative answer; scans run in a fixed canonical order so
 witnesses are deterministic.
@@ -19,6 +21,7 @@ witnesses are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .decomposition import Decomposition, decompose
 from .errors import InternalError
@@ -40,12 +43,16 @@ def _dec(semigroup: AffineSemigroup, dec: Decomposition | None) -> Decomposition
 
 
 def _lambda_scan(dec: Decomposition, strict: bool) -> tuple[bool, dict | None]:
-    frame = dec.frame
-    for x in dec.module_generators():
-        if any(a > p if strict else a >= p
-               for a, p in zip(frame.numerators(x), frame.denominators)):
-            return False, {"element": x, "lambda": frame.coordinates(x)}
-    return True, None
+    # the vkey-first module generator with a numerator above (or at) its
+    # denominator, read off the summands
+    dens = dec.frame.denominators
+    bad = [(x, num) for s in dec.summands
+           for x, num in zip(s.gamma, s.gamma_numerators)
+           if any(a > p if strict else a >= p for a, p in zip(num, dens))]
+    if not bad:
+        return True, None
+    x, num = min(bad, key=lambda item: vkey(item[0]))
+    return False, {"element": x, "lambda": tuple(map(Fraction, num, dens))}
 
 
 def is_seminormal(semigroup: AffineSemigroup,

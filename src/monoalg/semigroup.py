@@ -4,8 +4,10 @@ The central object is :class:`AffineSemigroup`: an ordered list of distinct
 nonzero generators with lazily computed cone and lattice data.  Geometry is
 exact: frame coordinates come from the integer elimination kernel of
 :mod:`.intlinalg`, extreme rays from its fraction-free simplex on the
-generators with support inside the candidate's, and the module generators
-over the frame, grouped by coset, from one best-first search on numerators.
+generators with support inside the candidate's.  The module generators over
+the frame come from one best-first search, which also gives each of them its
+frame numerators and its coset label in the quotient group; later layers
+read these instead of solving or projecting again.
 """
 
 from __future__ import annotations
@@ -242,41 +244,47 @@ class AffineSemigroup:
         # lam(m) <= lam(x).  Such an m has a smaller coordinate sum, so
         # popping in vkey order decides it first.  Removing an extra from a
         # module generator leaves one, so expanding only the kept elements
-        # reaches them all.  Frame numerators are carried additively, and
-        # their residues modulo the denominators key the coset.
+        # reaches them all.  Frame numerators and the quotient's coset label
+        # are carried additively, the label modulo the invariant factors.
         frame = self.frame()
-        dens = frame.denominators
-        extras = [(g, frame.numerators(g)) for g in self.generators
-                  if g not in frame.elements]
+        group = self.quotient()
+        factors = group.invariant_factors
+        extras = [(g, frame.numerators(g), group.project(g))
+                  for g in self.generators if g not in frame.elements]
         zero = (0,) * self.ambient_dim
-        heap = [(0, zero, (0,) * frame.dim)]
+        heap = [(0, zero, (0,) * frame.dim, (0,) * len(factors))]
         seen = {zero}
         kept: dict[tuple[int, ...], list[tuple[Vec, tuple[int, ...]]]] = {}
         result = []
         while heap:
-            _, x, num = heapq.heappop(heap)
-            coset = kept.setdefault(tuple(a % p for a, p in zip(num, dens)), [])
+            _, x, num, label = heapq.heappop(heap)
+            coset = kept.setdefault(label, [])
             if any(all(map(operator.le, m, num)) for _, m in coset):
                 continue
             coset.append((x, num))
             result.append(x)
-            for b, nb in extras:
+            for b, nb, lb in extras:
                 y = tuple(map(operator.add, x, b))
                 if y not in seen:
                     seen.add(y)
-                    heapq.heappush(
-                        heap, (sum(y), y, tuple(map(operator.add, num, nb))))
-        return tuple(result), tuple(map(tuple, kept.values()))
+                    heapq.heappush(heap, (
+                        sum(y), y, tuple(map(operator.add, num, nb)),
+                        tuple((a + c) % f
+                              for a, c, f in zip(label, lb, factors))))
+        return tuple(result), tuple(
+            (label, tuple(members)) for label, members in kept.items())
 
     def module_generators(self) -> tuple[Vec, ...]:
         """The elements of B from which no frame generator can be subtracted
         inside B, sorted by :func:`vkey`."""
         return self._module_search[0]
 
-    def module_generator_cosets(self) -> tuple[tuple[tuple[Vec, Vec], ...], ...]:
-        """The module generators, each with its :meth:`Frame.numerators`,
-        grouped by class modulo the frame lattice; :func:`vkey` order within
-        a class, classes in the order of their first element."""
+    def module_generator_cosets(self) -> tuple[tuple[tuple[int, ...], tuple], ...]:
+        """The module generators as ``(label, members)`` pairs, one per class
+        modulo the frame lattice: ``label`` is the class's
+        :meth:`FiniteAbelianGroup.project` label, ``members`` its module
+        generators ``(x, Frame.numerators(x))`` in :func:`vkey` order.
+        Classes come in the order of their first element."""
         return self._module_search[1]
 
 

@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 
 from .decomposition import Decomposition, MonomialIdeal, Summand
-from .homology import BettiTable, RegularityReport
+from .homology import RegularityReport
 from .properties import PropertyReport
 from .semigroup import AffineSemigroup
 
@@ -54,11 +54,15 @@ def summand_to_dict(s: Summand, dec: Decomposition, verbose: bool = False) -> di
     if s.shift_degree is not None:
         out["shift_degree"] = s.shift_degree
     if verbose:
-        out["shift_lambda"] = [frac_str(q)
-                               for q in dec.frame.coordinates(s.shift)]
-        out["gamma_lambda"] = [[frac_str(q) for q in dec.frame.coordinates(v)]
-                               for v in s.gamma]
+        out["shift_lambda"] = _lambda(dec, s.shift_numerators)
+        out["gamma_lambda"] = [_lambda(dec, num) for num in s.gamma_numerators]
     return out
+
+
+def _lambda(dec: Decomposition, numerators) -> list[str]:
+    """Frame coordinates, as strings, from their numerators."""
+    return [frac_str(Fraction(a, p))
+            for a, p in zip(numerators, dec.frame.denominators)]
 
 
 def decomposition_to_dict(dec: Decomposition, verbose: bool = False) -> dict:
@@ -98,10 +102,6 @@ def regularity_report_to_dict(report: RegularityReport) -> dict:
     }
 
 
-def betti_table_to_list(table: BettiTable) -> list[list[int]]:
-    return [list(t) for t in table.triples()]
-
-
 def semigroup_to_dict(semigroup: AffineSemigroup) -> dict:
     return {
         "generators": [list(g) for g in semigroup.generators],
@@ -137,8 +137,7 @@ def decomposition_text(dec: Decomposition, verbose: bool = False) -> list[str]:
         line = (f"  {_vec_str(s.coset)} => {{ {s.ideal}, "
                 f"shift {_vec_str(s.shift)} }}{deg}")
         if verbose:
-            lam = dec.frame.coordinates(s.shift)
-            line += f"  lambda {_vec_str(frac_str(q) for q in lam)}"
+            line += f"  lambda {_vec_str(_lambda(dec, s.shift_numerators))}"
         lines.append(line)
     return lines
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -12,7 +13,6 @@ from monoalg import (
     MonomialIdeal,
     decompose,
     hilbert_verify,
-    shift_degrees,
     validate,
 )
 from monoalg.decomposition import Decomposition, _compositions
@@ -98,27 +98,25 @@ class TestDecomposeGolden:
 class TestShiftDegrees:
     def test_example(self, sec3):
         dec = decompose(sec3)
-        degrees = shift_degrees(dec, sec3.degree_functional())
-        assert sorted(degrees.values()) == [0, 1, 1, 1, 1, 1, 2, 2]
+        functional = sec3.degree_functional()
+        degrees = [s.shift_degree for s in dec.summands]
+        assert sorted(degrees) == [0, 1, 1, 1, 1, 1, 2, 2]
         maximal = [s for s in dec.summands if s.ideal.is_maximal]
-        assert degrees[maximal[0].coset] == 1
+        assert maximal[0].shift_degree == 1
         for s in dec.summands:
-            assert s.shift_degree == degrees[s.coset]
+            assert s.shift_degree == functional.degree(s.shift)
 
     def test_free(self):
         B = validate([(1, 0), (0, 1)])
-        assert list(shift_degrees(decompose(B),
-                                  B.degree_functional()).values()) == [0]
+        assert [s.shift_degree for s in decompose(B).summands] == [0]
 
     def test_quartic(self, quartic):
-        degrees = shift_degrees(decompose(quartic),
-                                quartic.degree_functional())
-        assert sorted(degrees.values()) == [0, 1, 1, 1]
+        degrees = [s.shift_degree for s in decompose(quartic).summands]
+        assert sorted(degrees) == [0, 1, 1, 1]
 
     def test_not_homogeneous(self):
         B = validate([(2,), (3,)])
-        with pytest.raises(NotHomogeneousError):
-            shift_degrees(decompose(B), B.degree_functional())
+        assert [s.shift_degree for s in decompose(B).summands] == [None, None]
 
 
 class TestInvariants:
@@ -157,7 +155,7 @@ class TestInvariants:
         # (3, 0, 1) is alone in its coset, so dropping it leaves 7 of 8
         found = sec3.module_generator_cosets()
         monkeypatch.setattr(sec3, "module_generator_cosets", lambda: tuple(
-            c for c in found if c[0][0] != (3, 0, 1)))
+            c for c in found if c[1][0][0] != (3, 0, 1)))
         with pytest.raises(InternalError):
             decompose(sec3)
 
@@ -168,7 +166,7 @@ class TestInvariants:
             f"B = validate({SEC3_GENS!r})\n"
             "found = B.module_generator_cosets()\n"
             "B.module_generator_cosets = lambda: tuple(\n"
-            "    c for c in found if c[0][0] != (3, 0, 1))\n"
+            "    c for c in found if c[1][0][0] != (3, 0, 1))\n"
             "try:\n"
             "    decompose(B)\n"
             "except InternalError:\n"
@@ -181,10 +179,11 @@ class TestInvariants:
         assert proc.stdout == "raised\n"
 
     def test_split_coset_raises(self, sec3, monkeypatch):
-        # the two halves of one class get the same label
+        # the two halves of one class keep its label
         found = sec3.module_generator_cosets()
-        big = next(c for c in found if len(c) > 1)
-        fake = tuple(c for c in found if c is not big) + (big[:1], big[1:])
+        label, big = next(c for c in found if len(c[1]) > 1)
+        fake = (tuple(c for c in found if c[0] != label)
+                + ((label, big[:1]), (label, big[1:])))
         monkeypatch.setattr(sec3, "module_generator_cosets", lambda: fake)
         with pytest.raises(InternalError):
             decompose(sec3)
@@ -193,12 +192,20 @@ class TestInvariants:
         # (3, 0, 1) joins the class of 0; its frame numerators differ from
         # those of 0 by a non-multiple of the denominators
         found = sec3.module_generator_cosets()
-        stray = next(c[0] for c in found if c[0][0] == (3, 0, 1))
-        fake = tuple(c + (stray,) if c[0][0] == (0, 0, 0) else c
-                     for c in found)
+        stray = next(c[1][0] for c in found if c[1][0][0] == (3, 0, 1))
+        fake = tuple((label, members + (stray,))
+                     if members[0][0] == (0, 0, 0) else (label, members)
+                     for label, members in found)
         monkeypatch.setattr(sec3, "module_generator_cosets", lambda: fake)
         with pytest.raises(InternalError, match="not a multiple"):
             decompose(sec3)
+
+    def test_summands_carry_search_numerators(self, sec3):
+        frame = sec3.frame()
+        for s in decompose(sec3).summands:
+            assert s.gamma_numerators == tuple(frame.numerators(x)
+                                               for x in s.gamma)
+            assert s.shift_numerators == frame.numerators(s.shift)
 
 
 class TestHilbertVerify:
@@ -214,6 +221,14 @@ class TestHilbertVerify:
         dec = decompose(sec3)
         broken = Decomposition(dec.frame, dec.group_order,
                                dec.invariant_factors, dec.summands[:-1])
+        assert not hilbert_verify(sec3, broken, sec3.degree_functional(), 6)
+
+    def test_wrong_shift_degree_fails(self, sec3):
+        # one degree off by one, every ideal and shift left as it is
+        dec = decompose(sec3)
+        bad = dataclasses.replace(dec.summands[-1],
+                                  shift_degree=dec.summands[-1].shift_degree + 1)
+        broken = dataclasses.replace(dec, summands=dec.summands[:-1] + (bad,))
         assert not hilbert_verify(sec3, broken, sec3.degree_functional(), 6)
 
     def test_not_homogeneous(self):

@@ -216,3 +216,61 @@ class TestModuleGenerators:
         group = B.quotient()
         assume(prod(group.element_order(g) for g in B.generators) <= 2000)
         assert B.module_generators() == box_module_generators(B.generators)
+
+
+def assert_search_facts(B):
+    """Every member of every class the search returns carries the label
+    ``quotient().project`` gives it and the numerators ``frame().numerators``
+    give it; the classes partition the module generators."""
+    group, frame = B.quotient(), B.frame()
+    cosets = B.module_generator_cosets()
+    for label, members in cosets:
+        for x, num in members:
+            assert group.project(x) == label
+            assert frame.numerators(x) == num
+    assert len({label for label, _ in cosets}) == len(cosets) == group.order
+    assert sorted(x for _, members in cosets for x, _ in members) == sorted(
+        B.module_generators())
+
+
+# generator sets in N^1..N^4 with entries <= 5; the simplicial ones are kept
+small_sets = st.integers(1, 4).flatmap(
+    lambda m: st.lists(st.tuples(*[st.integers(0, 5)] * m).filter(any),
+                       min_size=1, max_size=m + 2, unique=True))
+
+
+class TestSearchLabels:
+    def test_example(self, sec3):
+        assert_search_facts(sec3)
+
+    @pytest.mark.parametrize("gens", [[(1, 0), (0, 1)],
+                                      [(1, 0), (0, 1), (1, 1)],
+                                      [(1, 0, 0), (0, 1, 0), (0, 0, 1)]])
+    def test_trivial_group(self, gens):
+        B = validate(gens)
+        assert B.quotient().order == 1
+        assert [label for label, _ in B.module_generator_cosets()] == [()]
+        assert_search_facts(B)
+
+    @given(st.lists(st.integers(1, 15), min_size=1, max_size=4, unique=True))
+    @example([2, 3])
+    @example([3, 4, 5])
+    @settings(max_examples=60, deadline=None)
+    def test_numerical(self, values):
+        assert_search_facts(validate([(v,) for v in values]))
+
+    @given(small_sets)
+    @settings(max_examples=150, deadline=None)
+    def test_random_simplicial_sets(self, gens):
+        B = validate(gens)
+        assume(B.is_simplicial())
+        assert_search_facts(B)
+
+    @given(st.sampled_from([(1, 5, 0), (2, 5, 2), (2, 9, 3), (3, 4, 3),
+                            (3, 6, 4), (4, 3, 4), (4, 4, 4), (5, 3, 5)]),
+           st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_instance_families(self, family, seed):
+        B = random_simplicial_instance(random.Random(seed), *family)
+        assume(B is not None)
+        assert_search_facts(B)

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 from monoalg import MonomialIdeal, betti_ideal, decompose, full_report, validate
 from monoalg.serialize import (
-    betti_table_to_list,
     canonical_json,
     decomposition_to_dict,
     jsonable,
@@ -16,7 +15,7 @@ from conftest import SEC3_GENS
 def test_betti_triples_sorted():
     table = betti_ideal(
         MonomialIdeal.from_gens(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
-    assert betti_table_to_list(table) == [[0, 1, 3], [1, 2, 3], [2, 3, 1]]
+    assert table.triples() == [(0, 1, 3), (1, 2, 3), (2, 3, 1)]
 
 
 def test_jsonable_fractions_and_ideals():
