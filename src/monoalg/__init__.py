@@ -16,13 +16,10 @@ from .homology import (
     analyze,
     betti_ideal,
     betti_multigraded,
-    depth_of,
-    reg_of,
 )
 from .intlinalg import (
     FiniteAbelianGroup,
     hermite_normal_form,
-    lattice_basis,
     quotient_group,
     smith_normal_form,
 )
@@ -56,7 +53,6 @@ __all__ = [
     "betti_ideal",
     "betti_multigraded",
     "decompose",
-    "depth_of",
     "errors",
     "full_report",
     "hermite_normal_form",
@@ -66,9 +62,7 @@ __all__ = [
     "is_gorenstein",
     "is_normal",
     "is_seminormal",
-    "lattice_basis",
     "quotient_group",
-    "reg_of",
     "run_sweep",
     "smith_normal_form",
     "validate",

@@ -93,6 +93,8 @@ def parse_input(data: bytes | str) -> InputDocument:
         except json.JSONDecodeError as exc:
             raise InputSyntaxError(f"invalid JSON: {exc.msg}",
                                    line=exc.lineno) from exc
+        except (RecursionError, ValueError) as exc:  # nesting, digit limit
+            raise InputSyntaxError(f"invalid JSON: {exc}") from None
         if isinstance(doc, list):
             return InputDocument(None, _rows_from_json(doc, "$"))
         if not isinstance(doc, dict):
@@ -120,7 +122,10 @@ def parse_input(data: bytes | str) -> InputDocument:
             try:
                 entries.append(int(token))
             except ValueError:
-                raise NonIntegerError(f"token {token!r} is not an integer",
+                limit = sys.get_int_max_str_digits()
+                what = (f"an integer of at most {limit} digits"
+                        if 0 < limit < len(token) else "an integer")
+                raise NonIntegerError(f"token {token!r} is not {what}",
                                       line=lineno) from None
         if width is None:
             width = len(entries)

@@ -60,6 +60,9 @@ def check_characteristic(char: int) -> None:
         return
     if char < 2:
         raise InvalidCharacteristicError(f"{char} is not 0 or a prime")
+    if char >= 2**31:  # keeps trial division under 46,341 steps
+        raise InvalidCharacteristicError(
+            f"{char} is too large: characteristics must be below 2**31")
     d = 2
     while d * d <= char:
         if char % d == 0:
@@ -163,16 +166,6 @@ def betti_ideal(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     return BettiTable(entries)
 
 
-def reg_of(table: BettiTable) -> int:
-    return table.regularity()
-
-
-def depth_of(table: BettiTable, num_vars: int) -> int:
-    """Depth over the ``num_vars``-variable polynomial ring, from the
-    projective dimension."""
-    return num_vars - table.projective_dimension()
-
-
 # ---------------------------------------------------------------------------
 # full regularity report
 # ---------------------------------------------------------------------------
@@ -200,7 +193,8 @@ def analyze(semigroup: AffineSemigroup, char: int = 0,
         if s.ideal not in tables:
             tables[s.ideal] = betti_ideal(s.ideal, char)
         table = tables[s.ideal]
-        per_summand.append((s, reg_of(table), depth_of(table, d)))
+        per_summand.append((s, table.regularity(),
+                            d - table.projective_dimension()))
 
     regularity = max(reg + s.shift_degree for s, reg, _ in per_summand)
     witnesses = tuple((s.coset, reg, s.shift_degree)

@@ -1,10 +1,10 @@
 """Exact integer linear algebra.
 
-Ranks, solves and coordinates all come from one fraction-free Gauss-Jordan
-routine, :func:`echelon`, over Z or mod a prime, whose row update the
-cone-membership simplex shares; ``Fraction`` appears only in rational
-results.  No floating point is used anywhere.  Matrices are lists of row
-lists, vectors are tuples.  All functions are pure.
+Ranks and coordinates all come from one fraction-free Gauss-Jordan routine,
+:func:`echelon`, over Z or mod a prime, whose row update the cone-membership
+simplex shares; a rational coordinate is an integer numerator over an integer
+denominator, and neither floating point nor ``Fraction`` is used.  Matrices
+are lists of row lists, vectors are tuples.  All functions are pure.
 
 Conventions fixed project-wide:
 
@@ -17,7 +17,6 @@ Conventions fixed project-wide:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .errors import (
@@ -172,7 +171,8 @@ def _hnf_upper(a: IntMatrix) -> IntMatrix:
 
 
 def hermite_normal_form(rows: list[Vec] | IntMatrix) -> IntMatrix:
-    """Canonical lower-triangular row HNF of the lattice spanned by ``rows``.
+    """Canonical lower-triangular row HNF of the lattice spanned by ``rows``:
+    its rows are the lattice's canonical basis, empty for the zero lattice.
 
     Realized by running the upper-echelon form on the column-reversed
     matrix and mirroring back, which is a fixed coordinate permutation and
@@ -181,11 +181,6 @@ def hermite_normal_form(rows: list[Vec] | IntMatrix) -> IntMatrix:
     mat = [list(r) for r in rows]
     mirrored = _hnf_upper([row[::-1] for row in mat])
     return [row[::-1] for row in mirrored][::-1]
-
-
-def lattice_basis(vectors: list[Vec] | IntMatrix) -> IntMatrix:
-    """Canonical basis (possibly empty) of the lattice generated by ``vectors``."""
-    return hermite_normal_form(vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -252,26 +247,6 @@ def echelon(rows: list[Vec] | IntMatrix, char: int = 0) -> tuple[IntMatrix, list
 def rank(rows: list[Vec] | IntMatrix, char: int = 0) -> int:
     """Rank of an integer matrix over Q (``char == 0``) or over F_char."""
     return len(echelon(rows, char)[1])
-
-
-def solve_rational_canonical(mat: IntMatrix, rhs: list[int] | Vec) -> tuple[Fraction, ...] | None:
-    """Some exact solution of ``mat @ x == rhs`` or ``None`` if inconsistent.
-
-    Dependent columns are fine: free variables are pinned to zero, which
-    makes the returned solution canonical for a fixed column order.  It is
-    read off the reduced echelon form of ``[mat | rhs]``, which is unique.
-    """
-    if len(rhs) != len(mat):
-        # a shape mismatch can never be consistent
-        return None
-    n = len(mat[0]) if mat else 0
-    rows, pivots = echelon([list(row) + [rhs[i]] for i, row in enumerate(mat)])
-    if pivots and pivots[-1] == n:
-        return None
-    x = [Fraction(0)] * n
-    for row, col in zip(rows, pivots):
-        x[col] = Fraction(row[n], row[col])
-    return tuple(x)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 The central object is :class:`AffineSemigroup`: an ordered list of distinct
 nonzero generators with lazily computed cone and lattice data.  Geometry is
-exact: frame coordinates come from the integer elimination kernel of
-:mod:`.intlinalg`, extreme rays from its fraction-free simplex on the
-generators with support inside the candidate's.  The module generators over
+exact and integer-only: frame coordinates and the degree functional are
+numerators over denominators from the elimination kernel of :mod:`.intlinalg`,
+extreme rays come from its fraction-free simplex on the generators with
+support inside the candidate's.  The module generators over
 the frame come from one best-first search, which also gives each of them its
 frame numerators and its coset label in the quotient group; later layers
 read these instead of solving or projecting again.
@@ -15,9 +16,8 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     DimensionMismatchError,
@@ -33,10 +33,10 @@ from .intlinalg import (
     IntMatrix,
     SpanSolver,
     Vec,
-    lattice_basis,
+    echelon,
+    hermite_normal_form,
     nonnegative_combination_exists,
     quotient_group,
-    solve_rational_canonical,
 )
 
 
@@ -56,7 +56,8 @@ class Frame:
 
     ``elements`` are linearly independent over Q and ordered by descending
     tuple order of their primitive ray directions (x_1 is the lex-largest
-    ray).  ``coordinates`` solves ``sum(lam[k] * e_k) == x`` exactly.
+    ray).  The unique rational ``lam`` with ``sum(lam[k] * e_k) == x`` is
+    ``lam[k] == numerators(x)[k] / denominators[k]``.
     """
 
     elements: tuple[Vec, ...]
@@ -76,11 +77,11 @@ class Frame:
 
     @property
     def denominators(self) -> tuple[int, ...]:
-        """The ``p`` with ``coordinates(x)[k] == numerators(x)[k] / p[k]``."""
+        """The per-coordinate denominators of :meth:`numerators`."""
         return self._solver.denominators
 
     def numerators(self, x: Vec) -> tuple[int, ...]:
-        """Integer numerators of :meth:`coordinates`, linear in ``x``."""
+        """Integer numerators of the frame coordinates, linear in ``x``."""
         if len(x) != self.ambient_dim:
             raise DimensionMismatchError(
                 f"vector has length {len(x)}, ambient dimension is {self.ambient_dim}")
@@ -90,29 +91,24 @@ class Frame:
                 f"{tuple(x)} is outside the rational span of the frame")
         return nums
 
-    def coordinates(self, x: Vec) -> tuple[Fraction, ...]:
-        """The unique rational ``lam`` with ``sum(lam[k]*e_k) == x``."""
-        return tuple(map(Fraction, self.numerators(x), self.denominators))
-
 
 @dataclass(frozen=True)
 class DegreeFunctional:
-    """A rational functional valuing 1 on every generator.
+    """The functional ``numerators / denominator``, 1 on every generator.
 
     On the group generated by B it takes integer values automatically,
     since every group element is an integer combination of generators.
     """
 
-    coefficients: tuple[Fraction, ...]
-
-    def value(self, x: Vec) -> Fraction:
-        return sum(c * e for c, e in zip(self.coefficients, x, strict=True))
+    numerators: tuple[int, ...]
+    denominator: int
 
     def degree(self, x: Vec) -> int:
-        v = self.value(x)
-        if v.denominator != 1:
-            raise ValueError(f"degree of {tuple(x)} is not an integer: {v}")
-        return int(v)
+        total = sum(c * e for c, e in zip(self.numerators, x, strict=True))
+        q, r = divmod(total, self.denominator)
+        if r:
+            raise ValueError(f"degree of {tuple(x)} is not an integer")
+        return q
 
 
 class AffineSemigroup:
@@ -158,7 +154,7 @@ class AffineSemigroup:
     @cached_property
     def group_basis(self) -> IntMatrix:
         """Canonical basis of the group generated by the generators."""
-        return lattice_basis(list(self.generators))
+        return hermite_normal_form(self.generators)
 
     @property
     def rank(self) -> int:
@@ -222,11 +218,17 @@ class AffineSemigroup:
 
     @cached_property
     def _degree_functional(self) -> DegreeFunctional | None:
-        mat = [list(g) for g in self.generators]
-        sol = solve_rational_canonical(mat, [1] * len(self.generators))
-        if sol is None:
+        # Solve generators . c == 1 on the reduced echelon form of
+        # [generators | 1]; free coefficients stay 0.
+        n = self.ambient_dim
+        rows, pivots = echelon([g + (1,) for g in self.generators])
+        if pivots[-1] == n:
             return None
-        return DegreeFunctional(sol)
+        den = lcm(*(row[col] for row, col in zip(rows, pivots)))
+        nums = [0] * n
+        for row, col in zip(rows, pivots):
+            nums[col] = row[n] * (den // row[col])
+        return DegreeFunctional(tuple(nums), den)
 
     def degree_functional(self) -> DegreeFunctional | None:
         return self._degree_functional

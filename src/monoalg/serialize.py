@@ -19,14 +19,10 @@ from .properties import PropertyReport
 from .semigroup import AffineSemigroup
 
 
-def frac_str(q: Fraction) -> str:
-    return str(q)
-
-
 def jsonable(value):
     """Recursively convert package values into JSON-serializable data."""
     if isinstance(value, Fraction):
-        return frac_str(value)
+        return str(value)
     if isinstance(value, MonomialIdeal):
         return ideal_to_dict(value)
     if isinstance(value, (list, tuple)):
@@ -61,7 +57,7 @@ def summand_to_dict(s: Summand, dec: Decomposition, verbose: bool = False) -> di
 
 def _lambda(dec: Decomposition, numerators) -> list[str]:
     """Frame coordinates, as strings, from their numerators."""
-    return [frac_str(Fraction(a, p))
+    return [str(Fraction(a, p))
             for a, p in zip(numerators, dec.frame.denominators)]
 
 
@@ -147,7 +143,7 @@ def _witness_text(witness) -> str:
         return ""
     if "element" in witness and "lambda" in witness:
         return (f"  witness: x={_vec_str(witness['element'])}"
-                f" lambda={_vec_str(frac_str(q) for q in witness['lambda'])}")
+                f" lambda={_vec_str(witness['lambda'])}")
     if witness.get("kind") == "sum":
         return (f"  witness: {_vec_str(witness['h'])} + {_vec_str(witness['c'])}"
                 f" = {_vec_str(witness['sum'])}")

@@ -367,11 +367,12 @@ def cone_member_2d(gens, x):
 def brute_normal_hilbert(gens, probe_sum):
     """Normality by definition: every lattice point of the cone is in the
     semigroup, probed up to the given coordinate sum."""
-    from monoalg.intlinalg import lattice_basis  # lattice only; no decomposition
+    # lattice only; no decomposition
+    from monoalg.intlinalg import hermite_normal_form
 
     gens = [tuple(g) for g in gens]
     m = len(gens[0])
-    basis = lattice_basis(gens)
+    basis = hermite_normal_form(gens)
     members = members_up_to(gens, probe_sum)
     if m == 1:
         points = [(s,) for s in range(probe_sum + 1)]

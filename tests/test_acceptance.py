@@ -17,13 +17,11 @@ from monoalg import (
     analyze,
     betti_ideal,
     decompose,
-    depth_of,
     full_report,
     hilbert_verify,
     is_cohen_macaulay,
     is_normal,
     is_seminormal,
-    reg_of,
     validate,
 )
 from monoalg.cli import main
@@ -100,8 +98,8 @@ def test_criterion_4_betti_fixture():
         table = betti_ideal(
             MonomialIdeal.from_gens(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
         assert table.entries == {(0, 1): 3, (1, 2): 3, (2, 3): 1}
-        assert reg_of(table) == 1
-        assert depth_of(table, 3) == 1
+        assert table.regularity() == 1
+        assert 3 - table.projective_dimension() == 1
 
     _criterion(4, "maximal ideal in three variables: reg 1, depth 1", body)
 

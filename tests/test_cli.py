@@ -65,6 +65,10 @@ class TestParseInput:
             parse_input("1 x\n")
         assert info.value.line == 1
 
+    def test_over_long_text_token_names_the_limit(self):
+        with pytest.raises(NonIntegerError, match="at most 4300 digits"):
+            parse_input("1" * 4301 + "\n")
+
     def test_syntax_errors(self):
         for bad in ("", "{broken", '{"generators": 7}', '{"extra": 1}',
                     '{"name": 5, "generators": [[1]]}', "[7]"):
@@ -242,6 +246,26 @@ class TestExitCodes:
             ["reg", "--input", path, "--char", "4", "--json"], capsys)
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "invalid_characteristic"
+
+    @pytest.mark.parametrize("char", [2**31, 2**61 - 1])
+    def test_huge_characteristic_is_rejected(self, char, tmp_path, capsys):
+        path = write_gens(tmp_path, SEC3_GENS)
+        code, out, err = run_cli(
+            ["reg", "--input", path, "--char", str(char), "--json"], capsys)
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "invalid_characteristic"
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, "[[" + "1" * 5000 + "]]"],
+                             ids=["deep_nesting", "long_integer"])
+    def test_json_the_decoder_rejects_is_input_error(self, text, tmp_path,
+                                                     capsys):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, out, err = run_cli(
+            ["analyze", "--input", str(path), "--json"], capsys)
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "input"
+        assert err.startswith("error: invalid JSON")
 
 
 class TestGolden:

@@ -23,6 +23,7 @@ from monoalg.errors import (
 )
 from monoalg.sweep import random_simplicial_instance
 from conftest import NONSIMPLICIAL_GENS, SEC3_GENS
+from oracles import solve_fractions
 
 
 def unit_vectors(d):
@@ -124,10 +125,10 @@ class TestInvariants:
         dec = decompose(sec3)
         frame = dec.frame
         for s in dec.summands:
-            shift_lam = frame.coordinates(s.shift)
+            shift_lam = solve_fractions(frame.elements, s.shift)
             gens = set()
             for v in s.gamma:
-                lam = frame.coordinates(v)
+                lam = solve_fractions(frame.elements, v)
                 diff = tuple(a - b for a, b in zip(lam, shift_lam))
                 assert all(q.denominator == 1 and q >= 0 for q in diff)
                 gens.add(tuple(int(q) for q in diff))

@@ -11,9 +11,7 @@ from monoalg import (
     betti_ideal,
     betti_multigraded,
     decompose,
-    depth_of,
     full_report,
-    reg_of,
     validate,
 )
 from monoalg.errors import (
@@ -54,37 +52,43 @@ class TestMatrixRank:
             with pytest.raises(InvalidCharacteristicError):
                 check_characteristic(bad)
 
+    def test_characteristic_limit(self):
+        check_characteristic(2**31 - 1)  # prime, largest accepted
+        for big in (2**31, 2**61 - 1):   # the second is prime
+            with pytest.raises(InvalidCharacteristicError, match="2\\*\\*31"):
+                check_characteristic(big)
+
 
 class TestBettiFixtures:
     def test_koszul_three_variables(self):
         table = betti_ideal(
             MonomialIdeal.from_gens(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
         assert table.entries == {(0, 1): 3, (1, 2): 3, (2, 3): 1}
-        assert reg_of(table) == 1
-        assert depth_of(table, 3) == 1
+        assert table.regularity() == 1
+        assert 3 - table.projective_dimension() == 1
 
     def test_complete_intersection(self):
         table = betti_ideal(MonomialIdeal.from_gens(2, [(2, 0), (0, 1)]))
         assert table.entries == {(0, 1): 1, (0, 2): 1, (1, 3): 1}
-        assert reg_of(table) == 2
-        assert depth_of(table, 2) == 1
+        assert table.regularity() == 2
+        assert 2 - table.projective_dimension() == 1
 
     def test_unit(self):
         table = betti_ideal(MonomialIdeal.unit(3))
         assert table.entries == {(0, 0): 1}
-        assert reg_of(table) == 0
-        assert depth_of(table, 3) == 3
+        assert table.regularity() == 0
+        assert 3 - table.projective_dimension() == 3
 
     def test_principal_single_variable(self):
         table = betti_ideal(MonomialIdeal.from_gens(1, [(5,)]))
         assert table.entries == {(0, 5): 1}
-        assert depth_of(table, 1) == 1
+        assert 1 - table.projective_dimension() == 1
 
     def test_two_skew_squares(self):
         # <x^2, y^2>: complete intersection, one linear syzygy in degree 4
         table = betti_ideal(MonomialIdeal.from_gens(2, [(2, 0), (0, 2)]))
         assert table.entries == {(0, 2): 2, (1, 4): 1}
-        assert reg_of(table) == 3
+        assert table.regularity() == 3
 
 
 class TestBettiInvariants:

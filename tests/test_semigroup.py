@@ -22,8 +22,10 @@ from conftest import NONSIMPLICIAL_GENS, SEC3_GENS
 from oracles import (
     box_module_generators,
     brute_module_generators,
+    brute_rank,
     lp_extreme_rays,
     members_up_to,
+    solve_fractions,
 )
 
 
@@ -38,6 +40,32 @@ def ray_sets(draw):
         st.tuples(st.integers(0, len(base) - 1), st.integers(2, 3)),
         max_size=3))]
     return list(dict.fromkeys(base + scaled))
+
+
+@st.composite
+def at_sum(draw, m, d):
+    """A vector in N^m with coordinate sum d."""
+    v = []
+    for _ in range(m - 1):
+        v.append(draw(st.integers(0, d - sum(v))))
+    return tuple(v + [d - sum(v)])
+
+
+@st.composite
+def graded_sets(draw):
+    """Distinct nonzero generators in N^m (m <= 4); in half the draws they
+    all have one coordinate sum, so many of the sets are homogeneous."""
+    m = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        vec = st.tuples(*[st.integers(0, 4)] * m).filter(any)
+    else:
+        vec = at_sum(m, draw(st.integers(1, 4)))
+    return draw(st.lists(vec, min_size=1, max_size=6, unique=True))
+
+
+def frame_lambda(frame, x):
+    """Rational frame coordinates of ``x`` from the integer numerators."""
+    return tuple(map(Fraction, frame.numerators(x), frame.denominators))
 
 
 # small random generator sets in N^1 or N^2, entries <= 6
@@ -118,21 +146,28 @@ class TestFrame:
         assert validate([(2,), (3,)]).frame().elements == ((2,),)
 
     def test_lambda_example(self, sec3):
-        lam = sec3.frame().coordinates((6, 0, 2))
+        frame = sec3.frame()
+        assert frame.denominators == (4, 4, 4)
+        assert frame.numerators((6, 0, 2)) == (6, 0, 2)
+        lam = frame_lambda(frame, (6, 0, 2))
         assert lam == (Fraction(3, 2), Fraction(0), Fraction(1, 2))
+        assert lam == solve_fractions(frame.elements, (6, 0, 2))
 
     def test_lambda_unit(self, sec3):
         frame = sec3.frame()
-        assert frame.coordinates((4, 0, 0)) == (1, 0, 0)
+        assert frame_lambda(frame, (4, 0, 0)) == (1, 0, 0)
 
     def test_lambda_numerical(self):
         frame = validate([(3,), (4,), (5,)]).frame()
-        assert frame.coordinates((5,)) == (Fraction(5, 3),)
+        assert frame_lambda(frame, (5,)) == (Fraction(5, 3),)
+        assert frame_lambda(frame, (5,)) == solve_fractions(frame.elements,
+                                                            (5,))
 
     def test_outside_span(self):
         frame = Frame.from_elements(((1, 0),))
+        assert solve_fractions(frame.elements, (0, 1)) is None
         with pytest.raises(OutsideSpanError):
-            frame.coordinates((0, 1))
+            frame.numerators((0, 1))
 
     def test_deterministic(self):
         a = validate(SEC3_GENS).frame().elements
@@ -143,12 +178,14 @@ class TestFrame:
 class TestDegreeFunctional:
     def test_example(self, sec3):
         f = sec3.degree_functional()
-        assert f.coefficients == (Fraction(1, 4),) * 3
+        assert (f.numerators, f.denominator) == ((1, 1, 1), 4)
         for g in sec3.generators:
             assert f.degree(g) == 1
         # integer values on the whole group
         for row in sec3.group_basis:
-            assert f.value(tuple(row)).denominator == 1
+            f.degree(tuple(row))
+        with pytest.raises(ValueError):
+            f.degree((1, 0, 0))
 
     def test_numerical_none(self):
         assert validate([(2,), (3,)]).degree_functional() is None
@@ -156,7 +193,37 @@ class TestDegreeFunctional:
 
     def test_standard_basis(self):
         f = validate([(1, 0, 0), (0, 1, 0), (0, 0, 1)]).degree_functional()
-        assert f.coefficients == (1, 1, 1)
+        assert (f.numerators, f.denominator) == ((1, 1, 1), 1)
+
+    def test_free_coefficients_zero(self):
+        # (1, 1) . c == 1 leaves c_2 free; it stays 0
+        f = validate([(1, 1)]).degree_functional()
+        assert (f.numerators, f.denominator) == ((1, 0), 1)
+        f = validate([(2, 2, 0), (0, 0, 3)]).degree_functional()
+        assert (f.numerators, f.denominator) == ((3, 0, 2), 6)
+
+    def test_length_mismatch(self, sec3):
+        with pytest.raises(ValueError):
+            sec3.degree_functional().degree((4, 0))
+
+    @given(graded_sets())
+    @example([(2, 0), (0, 3)])
+    @example([(1, 1), (2, 2)])
+    @settings(max_examples=200, deadline=None)
+    def test_against_rank_oracle(self, gens):
+        # B is homogeneous iff G c = 1 is solvable, i.e. iff appending the
+        # all-ones column leaves the rank unchanged
+        B = validate(gens)
+        homogeneous = brute_rank(gens, 0) == brute_rank(
+            [g + (1,) for g in gens], 0)
+        assert B.is_homogeneous == homogeneous
+        f = B.degree_functional()
+        assert (f is not None) == homogeneous
+        if f is None:
+            return
+        assert all(f.degree(g) == 1 for g in gens)
+        for row in B.group_basis:
+            assert isinstance(f.degree(tuple(row)), int)
 
 
 class TestModuleGenerators:
@@ -177,7 +244,8 @@ class TestModuleGenerators:
         ba = sec3.module_generators()
         members = members_up_to(sec3.generators, max(sum(x) for x in ba))
         for x in ba:
-            lam = frame.coordinates(x)
+            lam = frame_lambda(frame, x)
+            assert lam == solve_fractions(frame.elements, x)
             assert all(q >= 0 for q in lam)
             for e in frame.elements:
                 assert tuple(a - b for a, b in zip(x, e)) not in members
