@@ -4,9 +4,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from monoalg import validate
 from monoalg.errors import InfiniteQuotientError, NotInLatticeError
-from monoalg.errors import OutsideSpanError
+from monoalg.errors import DimensionMismatchError, OutsideSpanError
 from monoalg.intlinalg import (
+    SpanSolver,
+    echelon,
     hermite_normal_form,
     identity,
     nonnegative_combination_exists,
@@ -229,6 +232,79 @@ class TestQuotientGroup:
             for w in sub:
                 shifted = tuple(a + b for a, b in zip(x, w))
                 assert group.project(shifted) == group.project(x)
+
+
+class TestSolveRational:
+    """Rational solves of ``M c = b``, now done in integers.
+
+    Independent columns go through ``SpanSolver`` (numerators over
+    denominators); the general case is read off the reduced echelon form
+    of ``[M | b]``, as the degree functional is, with free coefficients 0.
+    """
+
+    @staticmethod
+    def span_solve(columns, rhs):
+        solver = SpanSolver.of(columns)
+        nums = solver.numerators(rhs)
+        if nums is None:
+            return None
+        return tuple(map(Fraction, nums, solver.denominators))
+
+    @staticmethod
+    def echelon_solve(mat, rhs):
+        n = len(mat[0])
+        rows, pivots = echelon([list(row) + [b] for row, b in zip(mat, rhs)])
+        if pivots and pivots[-1] == n:
+            return None
+        sol = [Fraction(0)] * n
+        for row, col in zip(rows, pivots):
+            sol[col] = Fraction(row[n], row[col])
+        return tuple(sol)
+
+    def test_diagonal(self):
+        mat = [[4, 0, 0], [0, 4, 0], [0, 0, 4]]
+        expected = (Fraction(3, 2), Fraction(0), Fraction(1, 2))
+        assert self.span_solve(mat, (6, 0, 2)) == expected
+        assert self.echelon_solve(mat, (6, 0, 2)) == expected
+
+    def test_two_by_two(self):
+        expected = (Fraction(1, 2), Fraction(1, 2))
+        assert self.span_solve([[4, 0], [0, 4]], (2, 2)) == expected
+        assert self.echelon_solve([[4, 0], [0, 4]], (2, 2)) == expected
+
+    def test_inconsistent(self):
+        mat = [[1, 0], [0, 1], [0, 0]]
+        # the columns of mat span no (1, 1, 1)
+        assert self.span_solve([(1, 0, 0), (0, 1, 0)], (1, 1, 1)) is None
+        assert self.echelon_solve(mat, (1, 1, 1)) is None
+
+    def test_dependent_but_inconsistent(self):
+        # a pivot in the appended column marks the system inconsistent
+        assert echelon([[1, 2, 1], [2, 4, 3]])[1] == [0, 2]
+        assert self.echelon_solve([[1, 2], [2, 4]], (1, 3)) is None
+        # the same shape with b = 1: no degree functional
+        assert validate([(1, 2), (2, 4)]).degree_functional() is None
+
+    def test_length_mismatch(self):
+        frame = Frame.from_elements(((4, 0), (0, 4)))
+        with pytest.raises(DimensionMismatchError):
+            frame.numerators((1, 0, 7))
+
+    def test_canonical_length_mismatch(self):
+        f = validate([(1,)]).degree_functional()
+        with pytest.raises(ValueError):
+            f.degree((1, 2))
+
+    @given(st.lists(st.lists(st.integers(-6, 6), min_size=2, max_size=2),
+                    min_size=3, max_size=3),
+           st.lists(st.integers(-5, 5), min_size=2, max_size=2))
+    @settings(max_examples=100, deadline=None)
+    def test_exactness(self, mat, x):
+        rhs = [sum(row[j] * x[j] for j in range(2)) for row in mat]
+        sol = self.echelon_solve(mat, rhs)
+        assert sol is not None
+        for i, row in enumerate(mat):
+            assert sum(Fraction(row[j]) * sol[j] for j in range(2)) == rhs[i]
 
 
 class TestRank:
