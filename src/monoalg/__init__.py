@@ -8,7 +8,6 @@ from .decomposition import (
     MonomialIdeal,
     Summand,
     decompose,
-    hilbert_verify,
 )
 from .homology import (
     BettiTable,
@@ -16,6 +15,7 @@ from .homology import (
     analyze,
     betti_ideal,
     betti_multigraded,
+    hilbert_verify,
 )
 from .intlinalg import (
     FiniteAbelianGroup,

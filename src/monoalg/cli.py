@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .decomposition import decompose, hilbert_verify
+from .decomposition import decompose
 from .errors import (
     InputError,
     InputSyntaxError,
@@ -30,7 +30,7 @@ from .errors import (
     PreconditionError,
     RaggedRowsError,
 )
-from .homology import analyze
+from .homology import analyze, hilbert_verify
 from .properties import full_report
 from .semigroup import AffineSemigroup, validate
 from .serialize import (

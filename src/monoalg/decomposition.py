@@ -7,16 +7,16 @@ vector and a monomial ideal in frame coordinates; together these describe the
 semigroup ring as a finite direct sum of shifted monomial ideals.  The classes,
 their labels and every generator's frame numerators come from the
 module-generator search; the summands carry the numerators on.
+:func:`.homology.hilbert_verify` checks a decomposition by Betti tables.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import lcm
 
-from .errors import InternalError, NotHomogeneousError
-from .semigroup import AffineSemigroup, DegreeFunctional, Frame, Vec, vkey
+from .errors import InternalError
+from .semigroup import AffineSemigroup, Frame, Vec, vkey
 
 
 @dataclass(frozen=True)
@@ -63,16 +63,6 @@ class MonomialIdeal:
         return any(all(g[i] <= exponent[i] for i in range(self.num_vars))
                    for g in self.gens)
 
-    def monomial_count_in_degree(self, total: int) -> int:
-        """Number of monomials of the ideal with the given total degree."""
-        if total < 0:
-            return 0
-        count = 0
-        for a in _compositions(total, self.num_vars):
-            if self.contains(a):
-                count += 1
-        return count
-
     def __str__(self) -> str:
         shown = sorted(self.gens, reverse=True)  # x_1 first, like a lex order
         return f"ideal({', '.join(monomial_str(g) for g in shown)})"
@@ -86,20 +76,6 @@ def monomial_str(exponent: Vec) -> str:
         elif e > 1:
             parts.append(f"x_{i + 1}^{e}")
     return "*".join(parts) if parts else "1"
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` nonnegative ints summing to ``total``."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 @dataclass(frozen=True)
@@ -176,39 +152,3 @@ def _exact(a: int, p: int) -> int:
     if r:
         raise InternalError(f"{a} is not a multiple of {p}")
     return q
-
-
-def hilbert_verify(semigroup: AffineSemigroup, dec: Decomposition,
-                   functional: DegreeFunctional | None, t_max: int) -> bool:
-    """Independent soundness check of the decomposition.
-
-    Returns False when a summand's ``shift_degree`` differs from the degree
-    ``functional`` gives its shift.  Otherwise counts semigroup elements of
-    each degree up to ``t_max`` by direct enumeration and compares with the
-    total staircase counts of the shifted ideals, each distinct ``(ideal,
-    shift_degree)`` pair counted once and weighted by its summands.  The
-    two sides share no code path.
-    """
-    if functional is None:
-        raise NotHomogeneousError("the semigroup admits no degree functional")
-    shifted = Counter()
-    for s in dec.summands:
-        if s.shift_degree != functional.degree(s.shift):
-            return False
-        shifted[s.ideal, s.shift_degree] += 1
-    zero = (0,) * semigroup.ambient_dim
-    # generators all have degree one, so the sums of exactly t generators
-    # are precisely the degree-t elements
-    layer = {zero}
-    left = [1]
-    for _ in range(t_max):
-        layer = {tuple(a + b for a, b in zip(x, g))
-                 for x in layer for g in semigroup.generators}
-        left.append(len(layer))
-
-    for t in range(t_max + 1):
-        right = sum(n * ideal.monomial_count_in_degree(t - dg)
-                    for (ideal, dg), n in shifted.items())
-        if right != left[t]:
-            return False
-    return True

@@ -10,13 +10,19 @@ generators can carry homology, so the computation is finite.
 Homology ranks are boundary-matrix ranks from the integer elimination kernel
 :func:`.intlinalg.rank`: fraction-free over Z for characteristic zero, mod p
 otherwise.
+
+The alternating sum of a Betti table, an Euler characteristic and so the same
+in every characteristic, is the numerator of the ideal's Hilbert series:
+:func:`hilbert_verify` checks these against an enumeration of the semigroup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from math import comb
 
-from .decomposition import Decomposition, MonomialIdeal, decompose
+from .decomposition import Decomposition, MonomialIdeal, Summand, decompose
 from .errors import (
     InternalError,
     InvalidCharacteristicError,
@@ -24,7 +30,7 @@ from .errors import (
     NotSimplicialError,
 )
 from .intlinalg import rank
-from .semigroup import AffineSemigroup, Vec, vkey
+from .semigroup import AffineSemigroup, DegreeFunctional, Vec, vkey
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,7 @@ class RegularityReport:
     depth: int
 
 
+@cache  # invalid values raise, so only valid ones are stored
 def check_characteristic(char: int) -> None:
     if char == 0:
         return
@@ -166,6 +173,55 @@ def betti_ideal(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     return BettiTable(entries)
 
 
+def hilbert_function(betti: dict[tuple[int, int], int], d: int,
+                     degree: int) -> int:
+    """Dimension in degree ``degree`` of a graded module over K[x_1..x_d]
+    with graded Betti numbers ``betti``: the series numerator is the
+    alternating sum ``sum (-1)^i beta_{i,j} t^j``, over ``(1 - t)^d``."""
+    return sum((-r if i % 2 else r) * comb(degree - j + d - 1, d - 1)
+               for (i, j), r in betti.items() if j <= degree)
+
+
+def _summand_tables(dec: Decomposition,
+                    char: int) -> list[tuple[Summand, BettiTable]]:
+    """Each summand with its ideal's Betti table, one per distinct ideal."""
+    tables = {ideal: betti_ideal(ideal, char)
+              for ideal in dict.fromkeys(s.ideal for s in dec.summands)}
+    return [(s, tables[s.ideal]) for s in dec.summands]
+
+
+def hilbert_verify(semigroup: AffineSemigroup, dec: Decomposition,
+                   functional: DegreeFunctional | None, t_max: int) -> bool:
+    """Independent soundness check of the decomposition and its homology.
+
+    Returns False when a summand's ``shift_degree`` differs from the degree
+    ``functional`` gives its shift.  Otherwise counts semigroup elements of
+    each degree up to ``t_max`` by direct enumeration and compares with the
+    :func:`hilbert_function` of the direct sum, read off the char-0 Betti
+    tables of the summand ideals, each shifted by its ``shift_degree``.  The
+    enumeration shares no code path with the decomposition or the homology.
+    """
+    if functional is None:
+        raise NotHomogeneousError("the semigroup admits no degree functional")
+    if any(s.shift_degree != functional.degree(s.shift) for s in dec.summands):
+        return False
+    betti: dict[tuple[int, int], int] = {}  # of the direct sum
+    for s, table in _summand_tables(dec, 0):
+        for (i, j), r in table.entries.items():
+            key = (i, j + s.shift_degree)
+            betti[key] = betti.get(key, 0) + r
+    # generators all have degree one, so the sums of exactly t generators
+    # are precisely the degree-t elements
+    layer = {(0,) * semigroup.ambient_dim}
+    left = [1]
+    for _ in range(t_max):
+        layer = {tuple(a + b for a, b in zip(x, g))
+                 for x in layer for g in semigroup.generators}
+        left.append(len(layer))
+    return all(left[t] == hilbert_function(betti, dec.frame.dim, t)
+               for t in range(t_max + 1))
+
+
 # ---------------------------------------------------------------------------
 # full regularity report
 # ---------------------------------------------------------------------------
@@ -187,14 +243,8 @@ def analyze(semigroup: AffineSemigroup, char: int = 0,
         dec = decompose(semigroup)
 
     d = dec.frame.dim
-    tables: dict[MonomialIdeal, BettiTable] = {}
-    per_summand = []
-    for s in dec.summands:
-        if s.ideal not in tables:
-            tables[s.ideal] = betti_ideal(s.ideal, char)
-        table = tables[s.ideal]
-        per_summand.append((s, table.regularity(),
-                            d - table.projective_dimension()))
+    per_summand = [(s, table.regularity(), d - table.projective_dimension())
+                   for s, table in _summand_tables(dec, char)]
 
     regularity = max(reg + s.shift_degree for s, reg, _ in per_summand)
     witnesses = tuple((s.coset, reg, s.shift_degree)

@@ -122,30 +122,6 @@ class AffineSemigroup:
         self.generators = generators
         self.ambient_dim = len(generators[0])
 
-    # -- construction --------------------------------------------------------
-
-    @staticmethod
-    def from_generators(gens) -> "AffineSemigroup":
-        # operator.index rejects floats instead of silently truncating
-        rows = [tuple(operator.index(e) for e in g) for g in gens]
-        if not rows:
-            raise EmptyInputError("a semigroup needs at least one generator")
-        m = len(rows[0])
-        for g in rows:
-            if len(g) != m:
-                raise DimensionMismatchError(
-                    f"generator {g} has length {len(g)}, expected {m}")
-            if any(e < 0 for e in g):
-                raise NegativeEntryError(f"generator {g} has a negative entry")
-            if all(e == 0 for e in g):
-                raise ZeroGeneratorError("the zero vector is not a generator")
-        seen = set()
-        for g in rows:
-            if g in seen:
-                raise DuplicateGeneratorError(f"generator {g} appears twice")
-            seen.add(g)
-        return AffineSemigroup(tuple(rows))
-
     def __repr__(self) -> str:
         return f"AffineSemigroup({list(self.generators)!r})"
 
@@ -292,4 +268,22 @@ class AffineSemigroup:
 
 def validate(gens) -> AffineSemigroup:
     """Construct a semigroup from raw generator rows, or reject them."""
-    return AffineSemigroup.from_generators(gens)
+    # operator.index rejects floats instead of silently truncating
+    rows = [tuple(operator.index(e) for e in g) for g in gens]
+    if not rows:
+        raise EmptyInputError("a semigroup needs at least one generator")
+    m = len(rows[0])
+    for g in rows:
+        if len(g) != m:
+            raise DimensionMismatchError(
+                f"generator {g} has length {len(g)}, expected {m}")
+        if any(e < 0 for e in g):
+            raise NegativeEntryError(f"generator {g} has a negative entry")
+        if all(e == 0 for e in g):
+            raise ZeroGeneratorError("the zero vector is not a generator")
+    seen = set()
+    for g in rows:
+        if g in seen:
+            raise DuplicateGeneratorError(f"generator {g} appears twice")
+        seen.add(g)
+    return AffineSemigroup(tuple(rows))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .decomposition import _compositions, decompose
+from .decomposition import decompose
 from .homology import analyze
 from .properties import full_report
 from .semigroup import AffineSemigroup, Vec, vkey, validate
@@ -37,6 +37,20 @@ class SweepConfig:
             raise ValueError("count must be nonnegative")
         if self.num_generators < self.ambient_dim:
             raise ValueError("need at least one generator per frame ray")
+
+
+def _compositions(total: int, parts: int):
+    """All tuples of ``parts`` nonnegative ints summing to ``total``."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 def degree_points(dim: int, degree: int) -> list[Vec]:

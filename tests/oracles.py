@@ -426,3 +426,23 @@ def taylor_euler_matches(gens, betti_multi, probe):
     in_ideal = int(any(all(g[k] <= probe[k] for k in range(len(probe)))
                        for g in gens))
     return taylor == minimal == in_ideal
+
+
+def _compositions(total, parts):
+    """All tuples of ``parts`` nonnegative ints summing to ``total``."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def monomial_count_in_degree(gens, num_vars, total):
+    """Number of monomials of total degree ``total`` in ``num_vars``
+    variables divisible by some monomial with an exponent in ``gens``."""
+    if total < 0:
+        return 0
+    return sum(1 for a in _compositions(total, num_vars)
+               if any(all(g[k] <= a[k] for k in range(num_vars))
+                      for g in gens))

@@ -6,16 +6,22 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import monoalg
 
 from monoalg import (
+    BettiTable,
     MonomialIdeal,
+    betti_ideal,
     decompose,
     hilbert_verify,
     validate,
 )
-from monoalg.decomposition import Decomposition, _compositions
+from monoalg import homology
+from monoalg.decomposition import Decomposition
+from monoalg.homology import hilbert_function
 from monoalg.errors import (
     InternalError,
     NotHomogeneousError,
@@ -23,7 +29,7 @@ from monoalg.errors import (
 )
 from monoalg.sweep import random_simplicial_instance
 from conftest import NONSIMPLICIAL_GENS, SEC3_GENS
-from oracles import solve_fractions
+from oracles import monomial_count_in_degree, solve_fractions
 
 
 def unit_vectors(d):
@@ -48,12 +54,20 @@ class TestMonomialIdeal:
         assert ideal.contains((3, 5))
         assert not ideal.contains((1, 0))
 
-    def test_monomial_count_matches_enumeration(self):
-        ideal = MonomialIdeal.from_gens(3, [(1, 1, 0), (0, 0, 2)])
-        for total in range(7):
-            direct = sum(1 for a in _compositions(total, 3)
-                         if ideal.contains(a))
-            assert ideal.monomial_count_in_degree(total) == direct
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+               st.lists(st.integers(0, 3), min_size=n, max_size=n),
+               min_size=1, max_size=4)),
+           st.sampled_from([0, 32003]))
+    @settings(max_examples=60, deadline=None)
+    def test_monomial_count_matches_enumeration(self, gens, char):
+        # the staircase count read off the Betti table, in either
+        # characteristic, against direct enumeration
+        n = len(gens[0])
+        ideal = MonomialIdeal.from_gens(n, gens)
+        table = betti_ideal(ideal, char)
+        for total in range(max(map(sum, ideal.gens)) + 3):
+            assert hilbert_function(table.entries, n, total) == \
+                monomial_count_in_degree(ideal.gens, n, total)
 
     def test_display(self):
         assert str(MonomialIdeal.unit(2)) == "ideal(1)"
@@ -230,6 +244,33 @@ class TestHilbertVerify:
         bad = dataclasses.replace(dec.summands[-1],
                                   shift_degree=dec.summands[-1].shift_degree + 1)
         broken = dataclasses.replace(dec, summands=dec.summands[:-1] + (bad,))
+        assert not hilbert_verify(sec3, broken, sec3.degree_functional(), 6)
+
+    def test_corrupted_betti_table_fails(self, sec3, monkeypatch):
+        # one Betti number of the maximal ideal off by one
+        real = homology.betti_ideal
+
+        def corrupted(ideal, char=0):
+            table = real(ideal, char)
+            if not ideal.is_maximal:
+                return table
+            entries = dict(table.entries)
+            entries[min(entries)] += 1
+            return BettiTable(entries)
+
+        monkeypatch.setattr(homology, "betti_ideal", corrupted)
+        dec = decompose(sec3)
+        assert not hilbert_verify(sec3, dec, sec3.degree_functional(), 6)
+
+    def test_swapped_ideal_fails(self, sec3):
+        # the unit ideal, also a summand ideal of sec3, in place of the
+        # maximal one; shifts and their degrees left as they are
+        dec = decompose(sec3)
+        k = next(i for i, s in enumerate(dec.summands) if s.ideal.is_maximal)
+        bad = dataclasses.replace(dec.summands[k], ideal=MonomialIdeal.unit(3))
+        assert any(s.ideal == bad.ideal for s in dec.summands)
+        broken = dataclasses.replace(
+            dec, summands=dec.summands[:k] + (bad,) + dec.summands[k + 1:])
         assert not hilbert_verify(sec3, broken, sec3.degree_functional(), 6)
 
     def test_not_homogeneous(self):

@@ -162,8 +162,22 @@ class TestAnalyze:
             analyze(validate(NONSIMPLICIAL_GENS))
 
     def test_rejects_bad_characteristic(self, sec3):
-        with pytest.raises(InvalidCharacteristicError):
-            analyze(sec3, 4)
+        # checked before simpliciality
+        for B in (sec3, validate(NONSIMPLICIAL_GENS)):
+            with pytest.raises(InvalidCharacteristicError):
+                analyze(B, 4)
+
+    def test_characteristic_checked_once_per_value(self, sec3):
+        # a trial division per distinct valid characteristic, not one per
+        # distinct summand ideal; invalid values raise every time
+        check_characteristic.cache_clear()
+        for char in (2**31 - 1, 0, 2**31 - 1, 32003):
+            analyze(sec3, char)
+        assert check_characteristic.cache_info().misses == 3
+        for _ in range(2):
+            with pytest.raises(InvalidCharacteristicError):
+                analyze(sec3, 4)
+        assert check_characteristic.cache_info().currsize == 3
 
     def test_characteristic_independence_when_buchsbaum(self, sec3):
         r0 = analyze(sec3, 0)
