@@ -30,7 +30,7 @@ from .errors import (
     PreconditionError,
     RaggedRowsError,
 )
-from .homology import analyze, hilbert_verify
+from .homology import analyze, check_characteristic, hilbert_verify
 from .properties import full_report
 from .semigroup import AffineSemigroup, validate
 from .serialize import (
@@ -202,14 +202,8 @@ def _read_semigroup(args) -> tuple[AffineSemigroup, InputDocument]:
 
 
 def _emit(args, doc: dict, text_lines: list[str]) -> None:
-    if args.json:
-        sys.stdout.write(canonical_json(doc))
-        return
-    if "hilbert_verify" in doc:
-        hv = doc["hilbert_verify"]
-        text_lines = text_lines + [
-            f"degree counts match up to t={hv['t_max']}: {hv['ok']}"]
-    sys.stdout.write("\n".join(text_lines) + "\n")
+    sys.stdout.write(canonical_json(doc) if args.json
+                     else "\n".join(text_lines) + "\n")
 
 
 def _header_lines(semigroup: AffineSemigroup, doc: InputDocument) -> list[str]:
@@ -220,12 +214,11 @@ def _header_lines(semigroup: AffineSemigroup, doc: InputDocument) -> list[str]:
     ]
 
 
-def _verify_section(args, semigroup, dec) -> dict:
-    if not args.verify:
-        return {}
+def _verify_section(args, semigroup, dec):
     ok = hilbert_verify(semigroup, dec, semigroup.degree_functional(),
                         args.tmax)
-    return {"hilbert_verify": {"t_max": args.tmax, "ok": ok}}
+    return ({"t_max": args.tmax, "ok": ok},
+            [f"degree counts match up to t={args.tmax}: {ok}"])
 
 
 def _decomposition(args, semigroup, dec):
@@ -276,8 +269,10 @@ _COMMANDS = {
 
 def _cmd_report(args) -> int:
     semigroup, indoc = _read_semigroup(args)
-    dec = decompose(semigroup)
     _, sections, view = _COMMANDS[args.command]
+    if "regularity" in sections:
+        check_characteristic(args.char)
+    dec = decompose(semigroup)
     doc = semigroup_to_dict(semigroup)
     if indoc.name:
         doc["name"] = indoc.name
@@ -287,7 +282,9 @@ def _cmd_report(args) -> int:
         lines += text
     if view is not None:
         doc, lines = view(doc)
-    doc.update(_verify_section(args, semigroup, dec))
+    if args.verify:
+        doc["hilbert_verify"], text = _verify_section(args, semigroup, dec)
+        lines += text
     _emit(args, doc, lines)
     return 0
 

@@ -28,6 +28,11 @@ from .errors import InternalError
 from .semigroup import AffineSemigroup, vkey
 
 
+# the five properties, in report order; the ``PropertyReport`` field names
+PROPERTY_NAMES = ("seminormal", "normal", "cohen_macaulay", "buchsbaum",
+                  "gorenstein")
+
+
 @dataclass(frozen=True)
 class PropertyReport:
     seminormal: bool
@@ -67,29 +72,31 @@ def is_normal(semigroup: AffineSemigroup,
     return _lambda_scan(_dec(semigroup, dec), strict=False)
 
 
-def _summands_by_shift(dec: Decomposition):
-    return sorted(dec.summands, key=lambda s: vkey(s.shift))
+def _first_bad_ideal(dec: Decomposition, bad) -> dict | None:
+    """The witness of the summand with the vkey-least shift whose ideal is
+    ``bad``, or ``None`` when no ideal is."""
+    hits = [s for s in dec.summands if bad(s.ideal)]
+    if not hits:
+        return None
+    s = min(hits, key=lambda s: vkey(s.shift))
+    return {"coset": s.coset, "shift": s.shift, "ideal": s.ideal}
 
 
 def is_cohen_macaulay(semigroup: AffineSemigroup,
                       dec: Decomposition | None = None) -> tuple[bool, dict | None]:
     """Cohen-Macaulay: every summand ideal is the unit ideal."""
-    dec = _dec(semigroup, dec)
-    for s in _summands_by_shift(dec):
-        if not s.ideal.is_unit:
-            return False, {"coset": s.coset, "shift": s.shift, "ideal": s.ideal}
-    return True, None
+    witness = _first_bad_ideal(_dec(semigroup, dec), lambda i: not i.is_unit)
+    return witness is None, witness
 
 
 def is_buchsbaum(semigroup: AffineSemigroup,
                  dec: Decomposition | None = None) -> tuple[bool, dict | None]:
     dec = _dec(semigroup, dec)
-    shifted = _summands_by_shift(dec)
-    for s in shifted:
-        if not s.ideal.is_unit and not s.ideal.is_maximal:
-            return False, {"kind": "ideal", "coset": s.coset,
-                           "shift": s.shift, "ideal": s.ideal}
-    tops = [s.shift for s in shifted if s.ideal.is_maximal]
+    witness = _first_bad_ideal(dec, lambda i: not (i.is_unit or i.is_maximal))
+    if witness is not None:
+        return False, {"kind": "ideal", **witness}
+    tops = sorted((s.shift for s in dec.summands if s.ideal.is_maximal),
+                  key=vkey)
     top_set = set(tops)
     frame_set = set(dec.frame.elements)
     extras = sorted((g for g in semigroup.generators if g not in frame_set),
@@ -105,10 +112,9 @@ def is_buchsbaum(semigroup: AffineSemigroup,
 def is_gorenstein(semigroup: AffineSemigroup,
                   dec: Decomposition | None = None) -> tuple[bool, dict | None]:
     dec = _dec(semigroup, dec)
-    for s in _summands_by_shift(dec):
-        if not s.ideal.is_unit:
-            return False, {"kind": "ideal", "coset": s.coset,
-                           "shift": s.shift, "ideal": s.ideal}
+    cm, witness = is_cohen_macaulay(semigroup, dec)
+    if not cm:
+        return False, {"kind": "ideal", **witness}
     # all ideals unit, so the shifts are exactly the module generators
     shifts = sorted((s.shift for s in dec.summands), key=vkey)
     top_sum = max(sum(h) for h in shifts)
@@ -132,17 +138,14 @@ def full_report(semigroup: AffineSemigroup,
                 dec: Decomposition | None = None) -> PropertyReport:
     """Run all five tests over one shared decomposition."""
     dec = _dec(semigroup, dec)
-    sn, sn_w = is_seminormal(semigroup, dec)
-    nr, nr_w = is_normal(semigroup, dec)
-    cm, cm_w = is_cohen_macaulay(semigroup, dec)
-    bb, bb_w = is_buchsbaum(semigroup, dec)
-    go, go_w = is_gorenstein(semigroup, dec)
+    tests = (is_seminormal, is_normal, is_cohen_macaulay, is_buchsbaum,
+             is_gorenstein)
+    found = {name: test(semigroup, dec)
+             for name, test in zip(PROPERTY_NAMES, tests)}
+    sn, nr, cm, bb, go = (found[name][0] for name in PROPERTY_NAMES)
     if (nr and not (sn and cm)) or (go and not cm) or (cm and not bb):
         raise InternalError("normal => seminormal and Cohen-Macaulay, "
                             "Gorenstein => Cohen-Macaulay => Buchsbaum fails")
     return PropertyReport(
-        seminormal=sn, normal=nr, cohen_macaulay=cm, buchsbaum=bb,
-        gorenstein=go,
-        witnesses={"seminormal": sn_w, "normal": nr_w,
-                   "cohen_macaulay": cm_w, "buchsbaum": bb_w,
-                   "gorenstein": go_w})
+        **{name: holds for name, (holds, _) in found.items()},
+        witnesses={name: w for name, (_, w) in found.items()})

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .decomposition import Decomposition, MonomialIdeal, Summand
 from .homology import RegularityReport
-from .properties import PropertyReport
+from .properties import PROPERTY_NAMES, PropertyReport
 from .semigroup import AffineSemigroup
 
 
@@ -73,15 +73,10 @@ def decomposition_to_dict(dec: Decomposition, verbose: bool = False) -> dict:
 
 
 def property_report_to_dict(report: PropertyReport) -> dict:
-    return {
-        "seminormal": report.seminormal,
-        "normal": report.normal,
-        "cohen_macaulay": report.cohen_macaulay,
-        "buchsbaum": report.buchsbaum,
-        "gorenstein": report.gorenstein,
-        "witnesses": {k: jsonable(w) for k, w in report.witnesses.items()
-                      if w is not None},
-    }
+    doc = {name: getattr(report, name) for name in PROPERTY_NAMES}
+    doc["witnesses"] = {k: jsonable(w) for k, w in report.witnesses.items()
+                        if w is not None}
+    return doc
 
 
 def regularity_report_to_dict(report: RegularityReport) -> dict:
@@ -161,11 +156,8 @@ def _witness_text(witness) -> str:
 
 def properties_text(report: PropertyReport) -> list[str]:
     lines = ["properties:"]
-    for name, value in [("seminormal", report.seminormal),
-                        ("normal", report.normal),
-                        ("cohen_macaulay", report.cohen_macaulay),
-                        ("buchsbaum", report.buchsbaum),
-                        ("gorenstein", report.gorenstein)]:
+    for name in PROPERTY_NAMES:
+        value = getattr(report, name)
         extra = "" if value else _witness_text(report.witnesses.get(name))
         lines.append(f"  {name}: {str(value).lower()}{extra}")
     return lines

@@ -12,12 +12,14 @@ Runs are reproducible from the seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import combinations
 
 from .decomposition import decompose
-from .homology import analyze
-from .properties import full_report
+from .homology import analyze, check_characteristic
+from .properties import PROPERTY_NAMES, full_report
 from .semigroup import AffineSemigroup, Vec, vkey, validate
+from .serialize import regularity_report_to_dict
 
 
 @dataclass(frozen=True)
@@ -37,25 +39,16 @@ class SweepConfig:
             raise ValueError("count must be nonnegative")
         if self.num_generators < self.ambient_dim:
             raise ValueError("need at least one generator per frame ray")
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` nonnegative ints summing to ``total``."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+        check_characteristic(self.char)
 
 
 def degree_points(dim: int, degree: int) -> list[Vec]:
-    """All lattice points in N^dim with coordinate sum ``degree``."""
-    return sorted(_compositions(degree, dim))
+    """All lattice points in N^dim with coordinate sum ``degree``, in lex
+    order: the gaps between ``dim - 1`` bars placed among ``degree`` stars."""
+    end = (degree + dim - 1,)
+    return [tuple(right - left - 1
+                  for left, right in zip((-1,) + bars, bars + end))
+            for bars in combinations(range(degree + dim - 1), dim - 1)]
 
 
 def random_simplicial_instance(rng: random.Random, dim: int, degree: int,
@@ -74,23 +67,12 @@ def random_simplicial_instance(rng: random.Random, dim: int, degree: int,
 def _analyze_instance(semigroup: AffineSemigroup, char: int) -> dict:
     dec = decompose(semigroup)
     props = full_report(semigroup, dec)
-    reg = analyze(semigroup, char, dec)
-    return {
-        "generators": [list(g) for g in semigroup.generators],
-        "properties": {
-            "seminormal": props.seminormal,
-            "normal": props.normal,
-            "cohen_macaulay": props.cohen_macaulay,
-            "buchsbaum": props.buchsbaum,
-            "gorenstein": props.gorenstein,
-        },
-        "regularity": reg.regularity,
-        "degree": reg.degree,
-        "codim": reg.codim,
-        "eg_bound": reg.eg_bound,
-        "eg_holds": reg.eg_holds,
-        "depth": reg.depth,
-    }
+    record = regularity_report_to_dict(analyze(semigroup, char, dec))
+    del record["witnesses"]
+    record["generators"] = [list(g) for g in semigroup.generators]
+    record["properties"] = {name: getattr(props, name)
+                            for name in PROPERTY_NAMES}
+    return record
 
 
 def run_sweep(cfg: SweepConfig) -> dict:
@@ -107,36 +89,15 @@ def run_sweep(cfg: SweepConfig) -> dict:
             skipped += 1
         else:
             results.append(_analyze_instance(instance, cfg.char))
-
-    property_counts = {name: 0 for name in
-                       ("seminormal", "normal", "cohen_macaulay",
-                        "buchsbaum", "gorenstein")}
-    regs = []
-    violations = []
-    for res in results:
-        for name in property_counts:
-            if res["properties"][name]:
-                property_counts[name] += 1
-        regs.append(res["regularity"])
-        if not res["eg_holds"]:
-            violations.append(res)
-
+    regs = [res["regularity"] for res in results]
     return {
-        "config": {
-            "ambient_dim": cfg.ambient_dim,
-            "num_generators": cfg.num_generators,
-            "max_entry": cfg.max_entry,
-            "count": cfg.count,
-            "seed": cfg.seed,
-            "char": cfg.char,
-        },
+        "config": asdict(cfg),
         "attempted": cfg.count,
         "analyzed": len(results),
         "skipped": skipped,
-        "properties": property_counts,
-        "regularity": {
-            "min": min(regs) if regs else None,
-            "max": max(regs) if regs else None,
-        },
-        "eg_violations": violations,
+        "properties": {name: sum(res["properties"][name] for res in results)
+                       for name in PROPERTY_NAMES},
+        "regularity": {"min": min(regs, default=None),
+                       "max": max(regs, default=None)},
+        "eg_violations": [res for res in results if not res["eg_holds"]],
     }

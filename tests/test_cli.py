@@ -247,6 +247,17 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "invalid_characteristic"
 
+    @pytest.mark.parametrize("command", ["reg", "eg", "analyze"])
+    def test_bad_characteristic_precedes_domain_errors(self, command,
+                                                       tmp_path, capsys):
+        from conftest import NONSIMPLICIAL_GENS
+
+        path = write_gens(tmp_path, NONSIMPLICIAL_GENS)
+        code, out, err = run_cli(
+            [command, "--input", path, "--char", "4", "--json"], capsys)
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "invalid_characteristic"
+
     @pytest.mark.parametrize("char", [2**31, 2**61 - 1])
     def test_huge_characteristic_is_rejected(self, char, tmp_path, capsys):
         path = write_gens(tmp_path, SEC3_GENS)
@@ -358,6 +369,16 @@ class TestSweepCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "dd7f3ff01acb0d1dd1a3adbd1f56fe2c597b14922dc83fc975737c489453bd82")
+
+    @pytest.mark.parametrize("args", [
+        ["--count", "5", "--dim", "2", "--gens", "3", "--max-entry", "1"],
+        ["--count", "0"],
+    ], ids=["all_skipped", "zero_count"])
+    def test_bad_characteristic_without_instances(self, args, capsys):
+        code, out, _ = run_cli(["sweep", "--char", "4", "--json"] + args,
+                               capsys)
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "invalid_characteristic"
 
     def test_bad_config_is_usage_error(self, capsys):
         code, _, err = run_cli(["sweep", "--gens", "1", "--dim", "2"], capsys)

@@ -1,5 +1,6 @@
-"""The exactness contract, read off the package source: no floating point
-and no dependency outside the standard library."""
+"""The exactness contract, read off the package source: no floating point,
+no dependency outside the standard library, and no ``assert`` (it vanishes
+under ``python -O``; invariants raise explicit errors instead)."""
 
 import ast
 import sys
@@ -16,6 +17,7 @@ def test_stdlib_only_and_no_floats(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     for node in ast.walk(tree):
         where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+        assert not isinstance(node, ast.Assert), where
         if isinstance(node, ast.Import):
             for alias in node.names:
                 top = alias.name.split(".")[0]

@@ -3,19 +3,24 @@ import random
 import pytest
 
 from monoalg import analyze, validate
+from monoalg.errors import InvalidCharacteristicError
 from monoalg.sweep import (
     SweepConfig,
     degree_points,
     random_simplicial_instance,
     run_sweep,
 )
-from oracles import redundant_generators
+from oracles import _compositions, redundant_generators
 
 
 class TestInstanceGeneration:
     def test_degree_points(self):
         assert degree_points(2, 3) == [(0, 3), (1, 2), (2, 1), (3, 0)]
         assert degree_points(1, 4) == [(4,)]
+        for dim in range(1, 7):
+            for degree in range(9):
+                assert degree_points(dim, degree) == sorted(
+                    _compositions(degree, dim))
 
     def test_instances_are_admissible(self):
         rng = random.Random(5)
@@ -58,6 +63,10 @@ class TestRunSweep:
             run_sweep(SweepConfig(3, 2, 3, 1, 1))
         with pytest.raises(ValueError):
             run_sweep(SweepConfig(2, 3, 3, -1, 1))
+        # checked even when every instance is skipped, or none is drawn
+        for count, char in [(5, 4), (0, 4), (0, 2**31)]:
+            with pytest.raises(InvalidCharacteristicError):
+                run_sweep(SweepConfig(2, 3, 1, count, 0, char))
 
 
 class TestExhaustiveSmallCase:
