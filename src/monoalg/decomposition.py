@@ -7,12 +7,13 @@ vector and a monomial ideal in frame coordinates; together these describe the
 semigroup ring as a finite direct sum of shifted monomial ideals.  The classes,
 their labels and every generator's frame numerators come from the
 module-generator search; the summands carry the numerators on.
-:func:`.homology.hilbert_verify` checks a decomposition by Betti tables.
+:func:`.homology.hilbert_verify` checks a decomposition by the Betti tables
+memoized on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
 
 from .errors import InternalError
@@ -101,10 +102,18 @@ class Summand:
 
 @dataclass(frozen=True)
 class Decomposition:
+    """The summands over the frame ring, one per class of the quotient
+    group.  ``tables`` memoizes, per characteristic, the Betti table of each
+    distinct summand ideal; only :func:`.homology._summand_tables` fills it.
+    It is not an init field, so ``dataclasses.replace`` starts a new, empty
+    memo instead of carrying the original's tables to other summands."""
+
     frame: Frame
     group_order: int
     invariant_factors: tuple[int, ...]
     summands: tuple[Summand, ...]
+    tables: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
 
 def decompose(semigroup: AffineSemigroup) -> Decomposition:

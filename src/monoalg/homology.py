@@ -12,8 +12,12 @@ Homology ranks are boundary-matrix ranks from the integer elimination kernel
 otherwise.
 
 The alternating sum of a Betti table, an Euler characteristic and so the same
-in every characteristic, is the numerator of the ideal's Hilbert series:
-:func:`hilbert_verify` checks these against an enumeration of the semigroup.
+in every characteristic, is the numerator of the ideal's Hilbert series.
+Each :class:`.Decomposition` memoizes its summand ideals' tables per
+characteristic, so :func:`analyze` and :func:`hilbert_verify` share one
+computation, and :func:`hilbert_verify` checks the tables of every
+characteristic computed for the decomposition, char 0 if none, against an
+enumeration of the semigroup.
 """
 
 from __future__ import annotations
@@ -184,10 +188,33 @@ def hilbert_function(betti: dict[tuple[int, int], int], d: int,
 
 def _summand_tables(dec: Decomposition,
                     char: int) -> list[tuple[Summand, BettiTable]]:
-    """Each summand with its ideal's Betti table, one per distinct ideal."""
-    tables = {ideal: betti_ideal(ideal, char)
-              for ideal in dict.fromkeys(s.ideal for s in dec.summands)}
+    """Each summand with its ideal's Betti table, one per distinct ideal,
+    memoized in ``dec.tables`` so that every caller shares one computation
+    per characteristic."""
+    tables = dec.tables.get(char)
+    if tables is None:
+        tables = dec.tables.setdefault(char, {
+            ideal: betti_ideal(ideal, char)
+            for ideal in dict.fromkeys(s.ideal for s in dec.summands)})
     return [(s, tables[s.ideal]) for s in dec.summands]
+
+
+def _degree_counts(generators: tuple[Vec, ...], t_max: int) -> list[int]:
+    """Number of distinct sums of exactly t generators, for t = 0..t_max.
+
+    Each vector is packed into one int, ``sum e_k * base**k``.  Entries are
+    nonnegative and no coordinate of a sum of at most ``t_max`` generators
+    reaches ``base``, so the packing is injective on those sums and adds
+    like the vectors do.
+    """
+    base = t_max * max(max(g) for g in generators) + 1
+    packed = {sum(e * base**k for k, e in enumerate(g)) for g in generators}
+    layer = {0}
+    counts = [1]
+    for _ in range(t_max):
+        layer = {x + g for x in layer for g in packed}
+        counts.append(len(layer))
+    return counts
 
 
 def hilbert_verify(semigroup: AffineSemigroup, dec: Decomposition,
@@ -197,29 +224,29 @@ def hilbert_verify(semigroup: AffineSemigroup, dec: Decomposition,
     Returns False when a summand's ``shift_degree`` differs from the degree
     ``functional`` gives its shift.  Otherwise counts semigroup elements of
     each degree up to ``t_max`` by direct enumeration and compares with the
-    :func:`hilbert_function` of the direct sum, read off the char-0 Betti
-    tables of the summand ideals, each shifted by its ``shift_degree``.  The
-    enumeration shares no code path with the decomposition or the homology.
+    :func:`hilbert_function` of the direct sum, read off the summand ideals'
+    Betti tables, each shifted by its ``shift_degree``.  The tables checked
+    are those of every characteristic computed for ``dec``, char 0 if none.
+    The enumeration shares no code path with the decomposition or the
+    homology.
     """
     if functional is None:
         raise NotHomogeneousError("the semigroup admits no degree functional")
     if any(s.shift_degree != functional.degree(s.shift) for s in dec.summands):
         return False
-    betti: dict[tuple[int, int], int] = {}  # of the direct sum
-    for s, table in _summand_tables(dec, 0):
-        for (i, j), r in table.entries.items():
-            key = (i, j + s.shift_degree)
-            betti[key] = betti.get(key, 0) + r
     # generators all have degree one, so the sums of exactly t generators
     # are precisely the degree-t elements
-    layer = {(0,) * semigroup.ambient_dim}
-    left = [1]
-    for _ in range(t_max):
-        layer = {tuple(a + b for a, b in zip(x, g))
-                 for x in layer for g in semigroup.generators}
-        left.append(len(layer))
-    return all(left[t] == hilbert_function(betti, dec.frame.dim, t)
-               for t in range(t_max + 1))
+    left = _degree_counts(semigroup.generators, t_max)
+    for char in list(dec.tables) or [0]:
+        betti: dict[tuple[int, int], int] = {}  # of the direct sum
+        for s, table in _summand_tables(dec, char):
+            for (i, j), r in table.entries.items():
+                key = (i, j + s.shift_degree)
+                betti[key] = betti.get(key, 0) + r
+        if any(left[t] != hilbert_function(betti, dec.frame.dim, t)
+               for t in range(t_max + 1)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -446,3 +446,15 @@ def monomial_count_in_degree(gens, num_vars, total):
     return sum(1 for a in _compositions(total, num_vars)
                if any(all(g[k] <= a[k] for k in range(num_vars))
                       for g in gens))
+
+
+def degree_counts_tuples(gens, t_max):
+    """Number of distinct sums of exactly t vectors of ``gens``, for
+    t = 0..t_max, by adding tuples."""
+    layer = {(0,) * len(gens[0])}
+    counts = [1]
+    for _ in range(t_max):
+        layer = {tuple(a + b for a, b in zip(x, g))
+                 for x in layer for g in gens}
+        counts.append(len(layer))
+    return counts

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import random
 import subprocess
@@ -6,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import monoalg
@@ -14,12 +15,14 @@ import monoalg
 from monoalg import (
     BettiTable,
     MonomialIdeal,
+    analyze,
     betti_ideal,
     decompose,
     hilbert_verify,
     validate,
 )
 from monoalg import homology
+from monoalg.cli import main
 from monoalg.decomposition import Decomposition
 from monoalg.homology import hilbert_function
 from monoalg.errors import (
@@ -29,7 +32,27 @@ from monoalg.errors import (
 )
 from monoalg.sweep import random_simplicial_instance
 from conftest import NONSIMPLICIAL_GENS, SEC3_GENS
-from oracles import monomial_count_in_degree, solve_fractions
+from oracles import (
+    degree_counts_tuples,
+    monomial_count_in_degree,
+    solve_fractions,
+)
+
+
+def corrupt_maximal_ideal_table(monkeypatch, char=None):
+    """Make ``betti_ideal`` put one Betti number of the maximal ideal off by
+    one, in characteristic ``char`` only, or in every one if ``None``."""
+    real = homology.betti_ideal
+
+    def corrupted(ideal, c=0):
+        table = real(ideal, c)
+        if not ideal.is_maximal or char not in (None, c):
+            return table
+        entries = dict(table.entries)
+        entries[min(entries)] += 1
+        return BettiTable(entries)
+
+    monkeypatch.setattr(homology, "betti_ideal", corrupted)
 
 
 def unit_vectors(d):
@@ -247,20 +270,62 @@ class TestHilbertVerify:
         assert not hilbert_verify(sec3, broken, sec3.degree_functional(), 6)
 
     def test_corrupted_betti_table_fails(self, sec3, monkeypatch):
-        # one Betti number of the maximal ideal off by one
-        real = homology.betti_ideal
-
-        def corrupted(ideal, char=0):
-            table = real(ideal, char)
-            if not ideal.is_maximal:
-                return table
-            entries = dict(table.entries)
-            entries[min(entries)] += 1
-            return BettiTable(entries)
-
-        monkeypatch.setattr(homology, "betti_ideal", corrupted)
+        corrupt_maximal_ideal_table(monkeypatch)
         dec = decompose(sec3)
         assert not hilbert_verify(sec3, dec, sec3.degree_functional(), 6)
+
+    @pytest.mark.parametrize("char", [0, 32003])
+    def test_verifies_the_tables_of_the_reported_characteristic(
+            self, sec3, char, monkeypatch, tmp_path, capsys):
+        # only the char-32003 table of the maximal ideal is wrong: verify
+        # sees it exactly when the regularity was read off char 32003
+        corrupt_maximal_ideal_table(monkeypatch, 32003)
+        dec = decompose(sec3)
+        analyze(sec3, char, dec)
+        ok = char == 0
+        assert hilbert_verify(sec3, dec, sec3.degree_functional(), 6) is ok
+        path = tmp_path / "sec3.txt"
+        path.write_text("".join(" ".join(map(str, g)) + "\n"
+                                for g in SEC3_GENS))
+        assert main(["reg", "--input", str(path), "--char", str(char),
+                     "--verify", "--tmax", "6", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["hilbert_verify"] == {"t_max": 6, "ok": ok}
+
+    def test_one_betti_table_per_distinct_ideal(self, monkeypatch):
+        # analyze and then verify, on instances with repeated ideals
+        calls = []
+        real = homology.betti_ideal
+
+        def counted(ideal, char=0):
+            calls.append((ideal, char))
+            return real(ideal, char)
+
+        monkeypatch.setattr(homology, "betti_ideal", counted)
+        for gens in (SEC3_GENS, [(6, 0), (0, 6), (1, 5), (5, 1)]):
+            B = validate(gens)
+            dec = decompose(B)
+            calls.clear()
+            analyze(B, 0, dec)
+            assert hilbert_verify(B, dec, B.degree_functional(), 6)
+            distinct = {s.ideal for s in dec.summands}
+            assert len(distinct) < len(dec.summands)
+            assert len(calls) == len(distinct)
+            assert set(calls) == {(ideal, 0) for ideal in distinct}
+
+    def test_replace_starts_an_empty_memo(self, sec3):
+        # analyze fills dec's memo first; a decomposition made from it by
+        # replace must compute its own tables, not read dec's
+        dec = decompose(sec3)
+        analyze(sec3, 0, dec)
+        assert set(dec.tables) == {0}
+        k = next(i for i, s in enumerate(dec.summands) if s.ideal.is_maximal)
+        bad = dataclasses.replace(dec.summands[k], ideal=MonomialIdeal.unit(3))
+        broken = dataclasses.replace(
+            dec, summands=dec.summands[:k] + (bad,) + dec.summands[k + 1:])
+        assert broken.tables == {}
+        assert not hilbert_verify(sec3, broken, sec3.degree_functional(), 6)
+        assert hilbert_verify(sec3, dec, sec3.degree_functional(), 6)
 
     def test_swapped_ideal_fails(self, sec3):
         # the unit ideal, also a summand ideal of sec3, in place of the
@@ -277,6 +342,17 @@ class TestHilbertVerify:
         B = validate([(2,), (3,)])
         with pytest.raises(NotHomogeneousError):
             hilbert_verify(B, decompose(B), B.degree_functional(), 4)
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+               st.lists(st.integers(0, 5), min_size=n, max_size=n),
+               min_size=1, max_size=6)),
+           st.integers(0, 9))
+    @example([(10**6, 0, 1), (0, 1, 0), (1, 0, 10**6), (0, 0, 0)], 5)
+    @settings(max_examples=150, deadline=None)
+    def test_degree_counts_match_tuple_sums(self, gens, t_max):
+        # packing must not carry from one coordinate into the next
+        assert homology._degree_counts(gens, t_max) == \
+            degree_counts_tuples(gens, t_max)
 
     def test_randomized_instances(self):
         rng = random.Random(1234)
