@@ -228,8 +228,10 @@ def hilbert_verify(semigroup: AffineSemigroup, dec: Decomposition,
     Betti tables, each shifted by its ``shift_degree``.  The tables checked
     are those of every characteristic computed for ``dec``, char 0 if none.
     The enumeration shares no code path with the decomposition or the
-    homology.
+    homology.  A negative ``t_max`` raises :class:`ValueError`.
     """
+    if t_max < 0:
+        raise ValueError(f"t_max must be nonnegative, got {t_max}")
     if functional is None:
         raise NotHomogeneousError("the semigroup admits no degree functional")
     if any(s.shift_degree != functional.degree(s.shift) for s in dec.summands):

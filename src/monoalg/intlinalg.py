@@ -3,8 +3,9 @@
 Ranks and coordinates all come from one fraction-free Gauss-Jordan routine,
 :func:`echelon`, over Z or mod a prime, whose row update the cone-membership
 simplex shares; a rational coordinate is an integer numerator over an integer
-denominator, and neither floating point nor ``Fraction`` is used.  Matrices
-are lists of row lists, vectors are tuples.  All functions are pure.
+denominator, and neither floating point nor ``Fraction`` is used.  The Smith
+and Hermite normal forms share one Euclidean row step, :func:`_clear_below`.
+Matrices are lists of row lists, vectors are tuples.  All functions are pure.
 
 Conventions fixed project-wide:
 
@@ -38,7 +39,8 @@ def identity(n: int) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 def _row_add(mat: IntMatrix, i: int, src: int, q: int) -> None:
-    mat[i] = [a + q * b for a, b in zip(mat[i], mat[src])]
+    if q:
+        mat[i] = [a + q * b for a, b in zip(mat[i], mat[src])]
 
 
 def _col_add(mat: IntMatrix, j: int, src: int, q: int) -> None:
@@ -46,8 +48,26 @@ def _col_add(mat: IntMatrix, j: int, src: int, q: int) -> None:
         row[j] += q * row[src]
 
 
-def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return unimodular ``U, V`` and diagonal ``D`` with ``U @ mat @ V == D``.
+def _clear_below(mat: IntMatrix, r: int, j: int) -> bool:
+    """Clear column ``j`` below row ``r`` by Euclid on rows; True when a
+    remainder was swapped into row ``r``.
+
+    ``mat[r][j]`` must be nonzero.  A nonzero remainder is strictly smaller
+    than the pivot, so swapping it up makes progress and the loop ends.
+    """
+    swapped = False
+    for i in range(r + 1, len(mat)):
+        while mat[i][j]:
+            _row_add(mat, i, r, -(mat[i][j] // mat[r][j]))
+            if mat[i][j]:
+                mat[r], mat[i] = mat[i], mat[r]
+                swapped = True
+    return swapped
+
+
+def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Return diagonal ``D`` and unimodular ``V`` with ``U @ mat @ V == D``
+    for some unimodular ``U`` (the row operations, which are not kept).
 
     The diagonal is nonnegative and satisfies ``D[i][i] | D[i+1][i+1]``
     (trailing zeros allowed).  Total function; the pivot choice (entry of
@@ -59,7 +79,6 @@ def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     if any(len(r) != ncols for r in mat):
         raise InternalError("ragged matrix")
     D = [list(r) for r in mat]
-    U = identity(nrows)
     V = identity(ncols)
 
     t = 0
@@ -72,29 +91,14 @@ def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                     piv = (i, j)
         if piv is None:
             break
-        if piv[0] != t:
-            D[t], D[piv[0]] = D[piv[0]], D[t]
-            U[t], U[piv[0]] = U[piv[0]], U[t]
+        D[t], D[piv[0]] = D[piv[0]], D[t]
         if piv[1] != t:
             for m in (D, V):
                 for row in m:
                     row[t], row[piv[1]] = row[piv[1]], row[t]
 
         while True:
-            dirty = False
-            # Clear column t below the pivot.  A nonzero remainder is
-            # strictly smaller than the pivot, so swapping it up makes
-            # progress and the loop terminates.
-            for i in range(t + 1, nrows):
-                while D[i][t] != 0:
-                    q = D[i][t] // D[t][t]
-                    if q:
-                        _row_add(D, i, t, -q)
-                        _row_add(U, i, t, -q)
-                    if D[i][t]:
-                        D[t], D[i] = D[i], D[t]
-                        U[t], U[i] = U[i], U[t]
-                        dirty = True
+            dirty = _clear_below(D, t, t)
             # Clear row t right of the pivot.
             for j in range(t + 1, ncols):
                 while D[t][j] != 0:
@@ -119,12 +123,10 @@ def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             if bad is None:
                 break
             _row_add(D, t, bad, 1)
-            _row_add(U, t, bad, 1)
         if D[t][t] < 0:
             D[t] = [-a for a in D[t]]
-            U[t] = [-a for a in U[t]]
         t += 1
-    return U, D, V
+    return D, V
 
 
 # ---------------------------------------------------------------------------
@@ -135,38 +137,19 @@ def _hnf_upper(a: IntMatrix) -> IntMatrix:
     """Classic row echelon HNF: pivots positive, entries above a pivot
     reduced into ``[0, pivot)``, zero rows dropped."""
     A = [row[:] for row in a]
-    nrows = len(A)
-    ncols = len(A[0]) if nrows else 0
     r = 0
-    for j in range(ncols):
-        if r == nrows:
-            break
-        while True:
-            piv = None
-            for i in range(r, nrows):
-                if A[i][j] != 0 and (piv is None or abs(A[i][j]) < abs(A[piv][j])):
-                    piv = i
-            if piv is None:
-                break
-            if piv != r:
-                A[r], A[piv] = A[piv], A[r]
-            again = False
-            for i in range(r + 1, nrows):
-                if A[i][j]:
-                    q = A[i][j] // A[r][j]
-                    if q:
-                        A[i] = [x - q * y for x, y in zip(A[i], A[r])]
-                    if A[i][j]:
-                        again = True
-            if not again:
-                if A[r][j] < 0:
-                    A[r] = [-x for x in A[r]]
-                for k in range(r):
-                    q = A[k][j] // A[r][j]
-                    if q:
-                        A[k] = [x - q * y for x, y in zip(A[k], A[r])]
-                r += 1
-                break
+    for j in range(len(A[0]) if A else 0):
+        rows = [i for i in range(r, len(A)) if A[i][j]]
+        if not rows:
+            continue
+        piv = min(rows, key=lambda i: abs(A[i][j]))
+        A[r], A[piv] = A[piv], A[r]
+        _clear_below(A, r, j)
+        if A[r][j] < 0:
+            A[r] = [-x for x in A[r]]
+        for k in range(r):
+            _row_add(A, k, r, -(A[k][j] // A[r][j]))
+        r += 1
     return A[:r]
 
 
@@ -288,6 +271,23 @@ class SpanSolver:
 # Finite quotients of lattices
 # ---------------------------------------------------------------------------
 
+def _lattice_coords(solver: SpanSolver | None, x: list[int] | Vec) -> tuple[int, ...]:
+    """Integer coordinates of ``x`` in the basis ``solver`` was built from;
+    ``solver`` is None for the zero lattice."""
+    if solver is None:
+        if any(x):
+            raise NotInLatticeError(f"{tuple(x)} is not in the lattice")
+        return ()
+    m = len(solver.rows[0])
+    if len(x) != m:
+        raise NotInLatticeError(
+            f"vector has length {len(x)}, ambient dimension is {m}")
+    nums = solver.numerators(x)
+    if nums is None or any(a % p for a, p in zip(nums, solver.denominators)):
+        raise NotInLatticeError(f"{tuple(x)} is not in the lattice")
+    return tuple(a // p for a, p in zip(nums, solver.denominators))
+
+
 class FiniteAbelianGroup:
     """A finite quotient ``L / L'`` of integer lattices.
 
@@ -298,39 +298,24 @@ class FiniteAbelianGroup:
     cosets, so the residue tuple is the canonical coset key.
     """
 
-    def __init__(self, solver: SpanSolver | None, diag: list[int],
-                 col_transform: IntMatrix):
-        # ``solver`` gives coordinates in the basis of L; None when L = 0
+    def __init__(self, solver: SpanSolver | None,
+                 invariant_factors: list[int], columns: list[Vec]):
+        # ``solver`` gives coordinates in the basis of L (None when L = 0);
+        # residue k is coordinates . columns[k] modulo invariant_factors[k]
         self._solver = solver
-        self._diag = list(diag)
-        self._v = [row[:] for row in col_transform]
-        self.invariant_factors: tuple[int, ...] = tuple(
-            f for f in diag if f > 1)
+        self.invariant_factors: tuple[int, ...] = tuple(invariant_factors)
+        self._columns = tuple(columns)
         self.order: int = prod(self.invariant_factors)
-        self._keep = [i for i, f in enumerate(diag) if f > 1]
 
     def coords(self, x: list[int] | Vec) -> tuple[int, ...]:
         """Integer coordinates of ``x`` in the ambient lattice basis."""
-        if self._solver is None:
-            if any(x):
-                raise NotInLatticeError(f"{tuple(x)} is not in the lattice")
-            return ()
-        m = len(self._solver.rows[0])
-        if len(x) != m:
-            raise NotInLatticeError(
-                f"vector has length {len(x)}, ambient dimension is {m}")
-        nums = self._solver.numerators(x)
-        dens = self._solver.denominators
-        if nums is None or any(a % p for a, p in zip(nums, dens)):
-            raise NotInLatticeError(f"{tuple(x)} is not in the lattice")
-        return tuple(a // p for a, p in zip(nums, dens))
+        return _lattice_coords(self._solver, x)
 
     def project(self, x: list[int] | Vec) -> tuple[int, ...]:
         """Canonical coset label of ``x``; constant on ``L'``-cosets."""
         c = self.coords(x)
-        r = len(self._diag)
-        cp = [sum(c[k] * self._v[k][j] for k in range(r)) for j in range(r)]
-        return tuple(cp[i] % self._diag[i] for i in self._keep)
+        return tuple(_dot(c, col) % f
+                     for col, f in zip(self._columns, self.invariant_factors))
 
     def element_order(self, x: list[int] | Vec) -> int:
         """Order of the class of ``x`` in the quotient."""
@@ -356,17 +341,15 @@ def quotient_group(sup_basis: IntMatrix, sub_gens: list[Vec] | IntMatrix) -> Fin
     """
     r = len(sup_basis)
     solver = SpanSolver.of(sup_basis) if r else None
-    # the trivial quotient L / L reads the coordinates of sub_gens in L
-    probe = FiniteAbelianGroup(solver, [1] * r, identity(r))
-    coeff_rows = [list(probe.coords(w)) for w in sub_gens]
-    if r == 0:
-        return probe
-    _, d, v = smith_normal_form(coeff_rows)
+    d, v = smith_normal_form(
+        [list(_lattice_coords(solver, w)) for w in sub_gens])
     diag = [d[i][i] if i < len(d) else 0 for i in range(r)]
-    if any(f == 0 for f in diag):
+    if 0 in diag:
         raise InfiniteQuotientError(
             "sublattice has smaller rank, the quotient is infinite")
-    return FiniteAbelianGroup(solver, diag, v)
+    keep = [j for j, f in enumerate(diag) if f > 1]
+    return FiniteAbelianGroup(solver, [diag[j] for j in keep],
+                              [tuple(row[j] for row in v) for j in keep])
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,8 @@ def validate(gens) -> AffineSemigroup:
     if not rows:
         raise EmptyInputError("a semigroup needs at least one generator")
     m = len(rows[0])
+    if m == 0:
+        raise EmptyInputError("generator 0 is an empty row")
     for g in rows:
         if len(g) != m:
             raise DimensionMismatchError(

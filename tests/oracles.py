@@ -6,7 +6,10 @@ module-generator, or homology code paths, so agreement is meaningful.
 Restricted to the small ambient dimensions the tests use (m <= 2 for the
 semigroup oracles), except for :func:`box_module_generators`, which takes
 its frame from the package and works in any dimension, and for the
-``Fraction`` simplex and :func:`lp_extreme_rays` built on it.
+``Fraction`` simplex and :func:`lp_extreme_rays` built on it.  The
+reference Smith and Hermite normal forms are the package's earlier
+eliminations: the Smith form keeps its left transform ``U``, and the
+Hermite form clears each column by whole pivot passes.
 """
 
 from __future__ import annotations
@@ -458,3 +461,106 @@ def degree_counts_tuples(gens, t_max):
                  for x in layer for g in gens}
         counts.append(len(layer))
     return counts
+
+
+def reference_smith_normal_form(mat):
+    """``(U, D, V)`` with ``U @ mat @ V == D``, U and V unimodular, D the
+    Smith form: the package's elimination with its left transform kept."""
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    D = [list(r) for r in mat]
+    U = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+
+    def row_add(m, i, src, q):
+        m[i] = [a + q * b for a, b in zip(m[i], m[src])]
+
+    def col_swap(t, j):
+        for m in (D, V):
+            for row in m:
+                row[t], row[j] = row[j], row[t]
+
+    t = 0
+    while t < min(nrows, ncols):
+        piv = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                e = D[i][j]
+                if e != 0 and (piv is None or abs(e) < abs(D[piv[0]][piv[1]])):
+                    piv = (i, j)
+        if piv is None:
+            break
+        D[t], D[piv[0]] = D[piv[0]], D[t]
+        U[t], U[piv[0]] = U[piv[0]], U[t]
+        col_swap(t, piv[1])
+        while True:
+            dirty = False
+            for i in range(t + 1, nrows):
+                while D[i][t] != 0:
+                    q = D[i][t] // D[t][t]
+                    row_add(D, i, t, -q)
+                    row_add(U, i, t, -q)
+                    if D[i][t]:
+                        D[t], D[i] = D[i], D[t]
+                        U[t], U[i] = U[i], U[t]
+                        dirty = True
+            for j in range(t + 1, ncols):
+                while D[t][j] != 0:
+                    q = D[t][j] // D[t][t]
+                    for m in (D, V):
+                        for row in m:
+                            row[j] -= q * row[t]
+                    if D[t][j]:
+                        col_swap(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            bad = next((i for i in range(t + 1, nrows)
+                        if any(D[i][j] % D[t][t] for j in range(t + 1, ncols))),
+                       None)
+            if bad is None:
+                break
+            row_add(D, t, bad, 1)
+            row_add(U, t, bad, 1)
+        if D[t][t] < 0:
+            D[t] = [-a for a in D[t]]
+            U[t] = [-a for a in U[t]]
+        t += 1
+    return U, D, V
+
+
+def reference_hermite_normal_form(rows):
+    """Lower-triangular row HNF by repeated pivot passes: an upper-echelon
+    HNF (pivots positive, entries above a pivot in ``[0, pivot)``) of the
+    column-reversed matrix, mirrored back."""
+    A = [list(row)[::-1] for row in rows]
+    nrows = len(A)
+    ncols = len(A[0]) if nrows else 0
+    r = 0
+    for j in range(ncols):
+        if r == nrows:
+            break
+        while True:
+            piv = None
+            for i in range(r, nrows):
+                if A[i][j] != 0 and (piv is None or abs(A[i][j]) < abs(A[piv][j])):
+                    piv = i
+            if piv is None:
+                break
+            A[r], A[piv] = A[piv], A[r]
+            again = False
+            for i in range(r + 1, nrows):
+                if A[i][j]:
+                    q = A[i][j] // A[r][j]
+                    A[i] = [x - q * y for x, y in zip(A[i], A[r])]
+                    if A[i][j]:
+                        again = True
+            if not again:
+                if A[r][j] < 0:
+                    A[r] = [-x for x in A[r]]
+                for k in range(r):
+                    q = A[k][j] // A[r][j]
+                    A[k] = [x - q * y for x, y in zip(A[k], A[r])]
+                r += 1
+                break
+    return [row[::-1] for row in A[:r]][::-1]

@@ -196,6 +196,16 @@ class TestExitCodes:
         code, _, err = run_cli(["analyze", "--input", str(path)], capsys)
         assert code == 1
 
+    def test_empty_row_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text('{"generators": [[]]}')
+        code, out, _ = run_cli(
+            ["decompose", "--json", "--input", str(path)], capsys)
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "input"
+        assert "empty row" in error["message"]
+
     def test_missing_file_is_one(self, capsys):
         code, _, err = run_cli(["analyze", "--input", "/nonexistent/x"],
                                capsys)

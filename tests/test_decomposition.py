@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -25,6 +26,7 @@ from monoalg import homology
 from monoalg.cli import main
 from monoalg.decomposition import Decomposition
 from monoalg.homology import hilbert_function
+from monoalg.serialize import canonical_json, decomposition_to_dict
 from monoalg.errors import (
     InternalError,
     NotHomogeneousError,
@@ -131,6 +133,18 @@ class TestDecomposeGolden:
     def test_not_simplicial(self):
         with pytest.raises(NotSimplicialError):
             decompose(validate(NONSIMPLICIAL_GENS))
+
+    def test_seeded_instances_pinned(self):
+        # the coset labels, shifts, ideals and frame coordinates of seeded
+        # (3, 8, 5) and (4, 6, 6) instances are pinned byte for byte
+        rng = random.Random(11)
+        digest = hashlib.sha256()
+        for family in [(3, 8, 5), (4, 6, 6)] * 15:
+            dec = decompose(random_simplicial_instance(rng, *family))
+            digest.update(canonical_json(
+                decomposition_to_dict(dec, verbose=True)).encode())
+        assert digest.hexdigest() == (
+            "c766dfbca9e2a815623f50ad72410402cf8d741996504658c98e2f062c0ddf19")
 
 
 class TestShiftDegrees:
@@ -342,6 +356,13 @@ class TestHilbertVerify:
         B = validate([(2,), (3,)])
         with pytest.raises(NotHomogeneousError):
             hilbert_verify(B, decompose(B), B.degree_functional(), 4)
+
+    def test_negative_t_max_raises_before_any_table(self):
+        B = validate([(1, 0), (0, 1)])
+        dec = decompose(B)
+        with pytest.raises(ValueError, match="t_max"):
+            hilbert_verify(B, dec, B.degree_functional(), -3)
+        assert dec.tables == {}
 
     @given(st.integers(1, 4).flatmap(lambda n: st.lists(
                st.lists(st.integers(0, 5), min_size=n, max_size=n),

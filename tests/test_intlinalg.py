@@ -23,6 +23,8 @@ from oracles import (
     det,
     fraction_nonnegative_combination_exists,
     mat_mul,
+    reference_hermite_normal_form,
+    reference_smith_normal_form,
     solve_fractions,
 )
 
@@ -74,29 +76,57 @@ def lattice_contains(basis, x):
     return coeff is not None and all(q.denominator == 1 for q in coeff)
 
 
+snf_matrices = st.integers(0, 6).flatmap(
+    lambda r: st.integers(1, 5).flatmap(
+        lambda c: st.lists(
+            st.lists(st.integers(-40, 40), min_size=c, max_size=c),
+            min_size=r, max_size=r)))
+
+
+@st.composite
+def unimodular_and_matrix(draw):
+    """A random integer matrix M and a unimodular W of matching size, the
+    product of random row swaps, sign flips and row additions."""
+    mat = draw(snf_matrices)
+    n = len(mat)
+    w = identity(n)
+    for _ in range(draw(st.integers(0, 8)) if n else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(["swap", "negate", "add"]))
+        if op == "swap":
+            w[i], w[j] = w[j], w[i]
+        elif op == "negate":
+            w[i] = [-a for a in w[i]]
+        elif i != j:
+            q = draw(st.integers(-5, 5))
+            w[i] = [a + q * b for a, b in zip(w[i], w[j])]
+    return w, mat
+
+
 class TestSmithNormalForm:
     def test_identity(self):
-        u, d, v = smith_normal_form(identity(3))
+        d, v = smith_normal_form(identity(3))
         assert d == identity(3)
 
     def test_diag_2_3(self):
-        u, d, v = smith_normal_form([[2, 0], [0, 3]])
+        d, v = smith_normal_form([[2, 0], [0, 3]])
         assert d == [[1, 0], [0, 6]]
 
     def test_already_smith(self):
-        u, d, v = smith_normal_form([[4, 0, 0], [0, 4, 0], [0, 0, 4]])
+        d, v = smith_normal_form([[4, 0, 0], [0, 4, 0], [0, 0, 4]])
         assert d == [[4, 0, 0], [0, 4, 0], [0, 0, 4]]
 
     def test_empty(self):
-        u, d, v = smith_normal_form([])
-        assert (u, d, v) == ([], [], [])
+        d, v = smith_normal_form([])
+        assert (d, v) == ([], [])
 
     @given(small_matrices)
     @settings(max_examples=150, deadline=None)
     def test_transform_identity_and_chain(self, mat):
-        u, d, v = smith_normal_form(mat)
-        assert mat_mul(mat_mul(u, mat), v) == d
-        assert abs(det(u)) == 1
+        d, v = smith_normal_form(mat)
+        # U @ mat @ V == D for a unimodular U: mat @ V and D have the same
+        # row lattice
+        assert hermite_normal_form(mat_mul(mat, v)) == hermite_normal_form(d)
         assert abs(det(v)) == 1
         n = min(len(d), len(d[0]) if d else 0)
         for i in range(len(d)):
@@ -110,6 +140,22 @@ class TestSmithNormalForm:
                 assert b % a == 0
             else:
                 assert b == 0
+
+    @given(snf_matrices)
+    @example([])
+    @example([[0, 0], [0, 0]])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, mat):
+        _, d, v = reference_smith_normal_form(mat)
+        assert smith_normal_form(mat) == (d, v)
+
+    @given(snf_matrices)
+    @settings(max_examples=100, deadline=None)
+    def test_reference_certificate(self, mat):
+        u, d, v = reference_smith_normal_form(mat)
+        assert mat_mul(mat_mul(u, mat), v) == d
+        assert abs(det(u)) == 1
+        assert abs(det(v)) == 1
 
 
 class TestLatticeBasis:
@@ -174,6 +220,18 @@ class TestLatticeBasis:
             assert basis[0] in (
                 [multiplier * e for e in direction],
                 [-multiplier * e for e in direction])
+
+    @given(snf_matrices)
+    @example([[0, 3], [0, -6], [0, 0]])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, mat):
+        assert hermite_normal_form(mat) == reference_hermite_normal_form(mat)
+
+    @given(unimodular_and_matrix())
+    @settings(max_examples=150, deadline=None)
+    def test_unimodular_invariance(self, problem):
+        w, mat = problem
+        assert hermite_normal_form(mat_mul(w, mat)) == hermite_normal_form(mat)
 
     @given(st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2),
                     min_size=1, max_size=4))

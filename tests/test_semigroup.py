@@ -95,6 +95,10 @@ class TestValidate:
         with pytest.raises(EmptyInputError):
             validate([])
 
+    def test_empty_row(self):
+        with pytest.raises(EmptyInputError, match="empty row"):
+            validate([()])
+
     def test_ragged(self):
         with pytest.raises(DimensionMismatchError):
             validate([(1, 2), (3,)])
