@@ -5,9 +5,13 @@ Subcommands: ``decompose``, ``props``, ``reg``, ``eg``, ``analyze``,
 (a bare JSON list of rows is also accepted) or plain text with one
 whitespace-separated integer row per line; ``#`` starts a comment.
 
+Each report is built once, as a JSON document; ``--json`` writes it in
+canonical form and the text output is printed from it.
+
 Exit codes: 0 on success, 1 for usage or input errors, 2 when the input is
 valid but outside the supported domain (non-simplicial cone, non-homogeneous
-semigroup), reported in machine-readable form.
+semigroup), reported in machine-readable form.  Each error class in
+``errors`` declares its ``kind`` and exit code.
 """
 
 from __future__ import annotations
@@ -20,14 +24,9 @@ from pathlib import Path
 
 from .decomposition import decompose
 from .errors import (
-    InputError,
     InputSyntaxError,
-    InvalidCharacteristicError,
     MonoalgError,
     NonIntegerError,
-    NotHomogeneousError,
-    NotSimplicialError,
-    PreconditionError,
     RaggedRowsError,
 )
 from .homology import analyze, check_characteristic, hilbert_verify
@@ -35,13 +34,12 @@ from .properties import full_report
 from .semigroup import AffineSemigroup, validate
 from .serialize import (
     canonical_json,
-    decomposition_text,
     decomposition_to_dict,
-    properties_text,
     property_report_to_dict,
     regularity_report_to_dict,
-    regularity_text,
+    report_text,
     semigroup_to_dict,
+    sweep_text,
 )
 from .sweep import SweepConfig, run_sweep
 
@@ -201,39 +199,16 @@ def _read_semigroup(args) -> tuple[AffineSemigroup, InputDocument]:
     return validate(doc.generators), doc
 
 
-def _emit(args, doc: dict, text_lines: list[str]) -> None:
-    sys.stdout.write(canonical_json(doc) if args.json
-                     else "\n".join(text_lines) + "\n")
-
-
-def _header_lines(semigroup: AffineSemigroup, doc: InputDocument) -> list[str]:
-    name = f" {doc.name!r}" if doc.name else ""
-    return [
-        f"semigroup{name}: {len(semigroup.generators)} generators in "
-        f"N^{semigroup.ambient_dim}, rank {semigroup.rank}"
-    ]
-
-
-def _verify_section(args, semigroup, dec):
-    ok = hilbert_verify(semigroup, dec, semigroup.degree_functional(),
-                        args.tmax)
-    return ({"t_max": args.tmax, "ok": ok},
-            [f"degree counts match up to t={args.tmax}: {ok}"])
-
-
 def _decomposition(args, semigroup, dec):
-    return (decomposition_to_dict(dec, args.verbose),
-            decomposition_text(dec, args.verbose))
+    return decomposition_to_dict(dec, args.verbose)
 
 
 def _properties(args, semigroup, dec):
-    report = full_report(semigroup, dec)
-    return property_report_to_dict(report), properties_text(report)
+    return property_report_to_dict(full_report(semigroup, dec))
 
 
 def _regularity(args, semigroup, dec):
-    report = analyze(semigroup, args.char, dec)
-    return regularity_report_to_dict(report), regularity_text(report)
+    return regularity_report_to_dict(analyze(semigroup, args.char, dec))
 
 
 _SECTIONS = {
@@ -243,13 +218,11 @@ _SECTIONS = {
 }
 
 
-def _eg_view(doc: dict) -> tuple[dict, list[str]]:
+def _eg_view(doc: dict) -> dict:
     """The bound check alone, projected from the regularity report."""
     reg = doc["regularity"]
-    view = {"reg": reg["regularity"], "bound": reg["eg_bound"],
+    return {"reg": reg["regularity"], "bound": reg["eg_bound"],
             "holds": reg["eg_holds"]}
-    return view, [f"reg {view['reg']} <= degree - codim = {view['bound']}: "
-                  f"{'holds' if view['holds'] else 'VIOLATED'}"]
 
 
 # subcommand -> (help, sections in output order, optional projection)
@@ -276,16 +249,17 @@ def _cmd_report(args) -> int:
     doc = semigroup_to_dict(semigroup)
     if indoc.name:
         doc["name"] = indoc.name
-    lines = _header_lines(semigroup, indoc)
     for name in sections:
-        doc[name], text = _SECTIONS[name](args, semigroup, dec)
-        lines += text
+        doc[name] = _SECTIONS[name](args, semigroup, dec)
     if view is not None:
-        doc, lines = view(doc)
+        doc = view(doc)
     if args.verify:
-        doc["hilbert_verify"], text = _verify_section(args, semigroup, dec)
-        lines += text
-    _emit(args, doc, lines)
+        doc["hilbert_verify"] = {
+            "t_max": args.tmax,
+            "ok": hilbert_verify(semigroup, dec,
+                                 semigroup.degree_functional(), args.tmax),
+        }
+    sys.stdout.write(canonical_json(doc) if args.json else report_text(doc))
     return 0
 
 
@@ -297,29 +271,9 @@ def _cmd_sweep(args) -> int:
         summary = run_sweep(cfg)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    if args.json:
-        sys.stdout.write(canonical_json(summary))
-    else:
-        lines = [
-            f"sweep: {summary['analyzed']} analyzed, "
-            f"{summary['skipped']} skipped (seed {cfg.seed})",
-            "properties: " + ", ".join(
-                f"{k}={v}" for k, v in sorted(summary["properties"].items())),
-            f"regularity: min {summary['regularity']['min']} "
-            f"max {summary['regularity']['max']}",
-            f"bound violations: {len(summary['eg_violations'])}",
-        ]
-        for v in summary["eg_violations"]:
-            lines.append(f"  VIOLATION: {v['generators']} reg {v['regularity']}"
-                         f" bound {v['eg_bound']}")
-        sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write(canonical_json(summary) if args.json
+                     else sweep_text(summary))
     return 0
-
-
-_REASONS = {
-    NotSimplicialError: "not_simplicial",
-    NotHomogeneousError: "not_homogeneous",
-}
 
 
 def _report_error(args, kind: str, exc: Exception) -> None:
@@ -340,22 +294,12 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
-    except InvalidCharacteristicError as exc:
-        _report_error(args, "invalid_characteristic", exc)
-        return 1
-    except InputError as exc:
-        _report_error(args, "input", exc)
-        return 1
+    except MonoalgError as exc:
+        _report_error(args, exc.kind, exc)
+        return exc.exit_code
     except OSError as exc:
         _report_error(args, "io", exc)
         return 1
-    except PreconditionError as exc:
-        kind = _REASONS.get(type(exc), "precondition")
-        _report_error(args, kind, exc)
-        return 2
-    except MonoalgError as exc:
-        _report_error(args, "error", exc)
-        return 2
 
 
 if __name__ == "__main__":

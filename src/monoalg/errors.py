@@ -1,7 +1,8 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the CLI's exit-code contract.
 
-Two families matter for the CLI exit-code contract: ``InputError`` covers
-anything wrong with the user-supplied data itself (exit 1), while
+Each class declares the ``kind`` that the CLI reports under ``--json`` and
+the ``exit_code`` it exits with; subclasses inherit both.  ``InputError``
+covers anything wrong with the user-supplied data itself (exit 1), while
 ``PreconditionError`` covers inputs that are well-formed but outside the
 supported domain, such as non-simplicial cones (exit 2).
 """
@@ -10,11 +11,15 @@ supported domain, such as non-simplicial cones (exit 2).
 class MonoalgError(Exception):
     """Base class for all package errors."""
 
+    kind = "error"
+    exit_code = 2
+
 
 # -- input and validation (CLI exit 1) --------------------------------------
 
 class InputError(MonoalgError):
-    pass
+    kind = "input"
+    exit_code = 1
 
 
 class ParseError(InputError):
@@ -71,15 +76,15 @@ class DimensionMismatchError(ValidationError):
 # -- domain preconditions (CLI exit 2) ---------------------------------------
 
 class PreconditionError(MonoalgError):
-    pass
+    kind = "precondition"
 
 
 class NotSimplicialError(PreconditionError):
-    pass
+    kind = "not_simplicial"
 
 
 class NotHomogeneousError(PreconditionError):
-    pass
+    kind = "not_homogeneous"
 
 
 # -- lattice / linear algebra -------------------------------------------------
@@ -97,7 +102,8 @@ class OutsideSpanError(MonoalgError):
 
 
 class InvalidCharacteristicError(MonoalgError):
-    pass
+    kind = "invalid_characteristic"
+    exit_code = 1
 
 
 class InternalError(MonoalgError):

@@ -20,11 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 
-from .errors import (
-    InfiniteQuotientError,
-    InternalError,
-    NotInLatticeError,
-)
+from .errors import InfiniteQuotientError, NotInLatticeError
 
 Vec = tuple[int, ...]
 IntMatrix = list[list[int]]
@@ -65,19 +61,26 @@ def _clear_below(mat: IntMatrix, r: int, j: int) -> bool:
     return swapped
 
 
+def _width(mat: list[Vec] | IntMatrix) -> int:
+    """The common row length of ``mat`` (0 when it has no rows)."""
+    ncols = len(mat[0]) if mat else 0
+    if any(len(r) != ncols for r in mat):
+        raise ValueError("matrix rows have different lengths")
+    return ncols
+
+
 def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Return diagonal ``D`` and unimodular ``V`` with ``U @ mat @ V == D``
     for some unimodular ``U`` (the row operations, which are not kept).
 
     The diagonal is nonnegative and satisfies ``D[i][i] | D[i+1][i+1]``
-    (trailing zeros allowed).  Total function; the pivot choice (entry of
-    minimal absolute value, first position wins ties) makes the output
+    (trailing zeros allowed).  Total on rectangular matrices (``ValueError``
+    when the rows differ in length); the pivot choice (entry of minimal
+    absolute value, first position wins ties) makes the output
     deterministic.
     """
     nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    if any(len(r) != ncols for r in mat):
-        raise InternalError("ragged matrix")
+    ncols = _width(mat)
     D = [list(r) for r in mat]
     V = identity(ncols)
 
@@ -156,12 +159,14 @@ def _hnf_upper(a: IntMatrix) -> IntMatrix:
 def hermite_normal_form(rows: list[Vec] | IntMatrix) -> IntMatrix:
     """Canonical lower-triangular row HNF of the lattice spanned by ``rows``:
     its rows are the lattice's canonical basis, empty for the zero lattice.
+    Rows of different lengths raise ``ValueError``.
 
     Realized by running the upper-echelon form on the column-reversed
     matrix and mirroring back, which is a fixed coordinate permutation and
     therefore preserves the lattice.
     """
     mat = [list(r) for r in rows]
+    _width(mat)
     mirrored = _hnf_upper([row[::-1] for row in mat])
     return [row[::-1] for row in mirrored][::-1]
 

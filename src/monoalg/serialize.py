@@ -3,9 +3,10 @@
 JSON documents are rendered with sorted keys and two-space indentation;
 summands are already sorted by coset label inside ``Decomposition``, and
 every set-valued field is sorted before serialization, so output is
-byte-identical across runs and platforms.  The text format keeps the same
-numeric content as the JSON and mimics a hash-table session display for
-easy human diffing.
+byte-identical across runs and platforms.  The text format is printed from
+those same documents (``report_text``, ``sweep_text``), so it holds the
+content of the JSON by construction; it mimics a hash-table session display
+for easy human diffing.
 """
 
 from __future__ import annotations
@@ -108,69 +109,110 @@ def canonical_json(doc: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# text rendering
+# text rendering, printed from the documents above
 # ---------------------------------------------------------------------------
 
 def _vec_str(v) -> str:
     return "(" + ", ".join(str(e) for e in v) + ")"
 
 
-def decomposition_text(dec: Decomposition, verbose: bool = False) -> list[str]:
+def _decomposition_text(dec: dict) -> list[str]:
+    factors = dec["group"]["invariant_factors"]
     lines = [
-        f"frame: {', '.join(_vec_str(e) for e in dec.frame.elements)}",
-        "group: " + (" x ".join(f"Z/{f}" for f in dec.invariant_factors)
-                     if dec.invariant_factors else "trivial")
-        + f" (order {dec.group_order})",
+        f"frame: {', '.join(_vec_str(e) for e in dec['frame'])}",
+        "group: " + (" x ".join(f"Z/{f}" for f in factors)
+                     if factors else "trivial")
+        + f" (order {dec['group']['order']})",
         "decomposition:",
     ]
-    for s in dec.summands:
-        deg = f"  deg {s.shift_degree}" if s.shift_degree is not None else ""
-        line = (f"  {_vec_str(s.coset)} => {{ {s.ideal}, "
-                f"shift {_vec_str(s.shift)} }}{deg}")
-        if verbose:
-            line += f"  lambda {_vec_str(_lambda(dec, s.shift_numerators))}"
+    for s in dec["summands"]:
+        line = (f"  {_vec_str(s['coset'])} => {{ {s['ideal']['display']}, "
+                f"shift {_vec_str(s['shift'])} }}")
+        if "shift_degree" in s:
+            line += f"  deg {s['shift_degree']}"
+        if "shift_lambda" in s:
+            line += f"  lambda {_vec_str(s['shift_lambda'])}"
         lines.append(line)
     return lines
 
 
-def _witness_text(witness) -> str:
-    if witness is None:
-        return ""
-    if "element" in witness and "lambda" in witness:
-        return (f"  witness: x={_vec_str(witness['element'])}"
+def _witness_text(witness: dict) -> str:
+    kind = witness.get("kind")
+    if "lambda" in witness:
+        body = (f"x={_vec_str(witness['element'])}"
                 f" lambda={_vec_str(witness['lambda'])}")
-    if witness.get("kind") == "sum":
-        return (f"  witness: {_vec_str(witness['h'])} + {_vec_str(witness['c'])}"
+    elif kind == "sum":
+        body = (f"{_vec_str(witness['h'])} + {_vec_str(witness['c'])}"
                 f" = {_vec_str(witness['sum'])}")
-    if witness.get("kind") == "tie":
-        tied = ", ".join(_vec_str(v) for v in witness["elements"])
-        return f"  witness: maximal coordinate sum tied between {tied}"
-    if witness.get("kind") == "unpaired":
-        return (f"  witness: {_vec_str(witness['element'])} has no partner"
+    elif kind == "tie":
+        body = "maximal coordinate sum tied between " + ", ".join(
+            _vec_str(v) for v in witness["elements"])
+    elif kind == "unpaired":
+        body = (f"{_vec_str(witness['element'])} has no partner"
                 f" ({_vec_str(witness['partner'])} missing)")
-    if "ideal" in witness:
-        return (f"  witness: {witness['ideal']} at shift"
+    else:
+        body = (f"{witness['ideal']['display']} at shift"
                 f" {_vec_str(witness['shift'])}")
-    return f"  witness: {witness}"
+    return "  witness: " + body
 
 
-def properties_text(report: PropertyReport) -> list[str]:
+def _properties_text(props: dict) -> list[str]:
     lines = ["properties:"]
     for name in PROPERTY_NAMES:
-        value = getattr(report, name)
-        extra = "" if value else _witness_text(report.witnesses.get(name))
-        lines.append(f"  {name}: {str(value).lower()}{extra}")
+        # every false property has a witness
+        extra = "" if props[name] else _witness_text(props["witnesses"][name])
+        lines.append(f"  {name}: {str(props[name]).lower()}{extra}")
     return lines
 
 
-def regularity_text(report: RegularityReport) -> list[str]:
+def _regularity_text(reg: dict) -> list[str]:
     attained = "; ".join(
-        f"coset {_vec_str(c)}: ideal reg {r} + shift deg {d}"
-        for c, r, d in report.witnesses)
+        f"coset {_vec_str(w['coset'])}: ideal reg {w['ideal_regularity']}"
+        f" + shift deg {w['shift_degree']}" for w in reg["witnesses"])
     return [
-        f"regularity: {report.regularity}  ({attained})",
-        f"degree: {report.degree}  codim: {report.codim}",
-        f"bound degree - codim = {report.eg_bound}: "
-        + ("holds" if report.eg_holds else "VIOLATED"),
-        f"depth: {report.depth}",
+        f"regularity: {reg['regularity']}  ({attained})",
+        f"degree: {reg['degree']}  codim: {reg['codim']}",
+        f"bound degree - codim = {reg['eg_bound']}: "
+        + ("holds" if reg["eg_holds"] else "VIOLATED"),
+        f"depth: {reg['depth']}",
     ]
+
+
+def report_text(doc: dict) -> str:
+    """The text view of a CLI report document: each section it holds, in
+    report order."""
+    lines = []
+    if "generators" in doc:
+        name = f" {doc['name']!r}" if "name" in doc else ""
+        lines.append(f"semigroup{name}: {len(doc['generators'])} generators "
+                     f"in N^{doc['ambient_dim']}, rank {doc['rank']}")
+    if "decomposition" in doc:
+        lines += _decomposition_text(doc["decomposition"])
+    if "properties" in doc:
+        lines += _properties_text(doc["properties"])
+    if "regularity" in doc:
+        lines += _regularity_text(doc["regularity"])
+    if "holds" in doc:  # the eg view
+        lines.append(f"reg {doc['reg']} <= degree - codim = {doc['bound']}: "
+                     + ("holds" if doc["holds"] else "VIOLATED"))
+    if "hilbert_verify" in doc:
+        check = doc["hilbert_verify"]
+        lines.append(f"degree counts match up to t={check['t_max']}: "
+                     f"{check['ok']}")
+    return "".join(line + "\n" for line in lines)
+
+
+def sweep_text(summary: dict) -> str:
+    """The text view of a ``run_sweep`` summary."""
+    reg = summary["regularity"]
+    lines = [
+        f"sweep: {summary['analyzed']} analyzed, {summary['skipped']} "
+        f"skipped (seed {summary['config']['seed']})",
+        "properties: " + ", ".join(
+            f"{k}={v}" for k, v in sorted(summary["properties"].items())),
+        f"regularity: min {reg['min']} max {reg['max']}",
+        f"bound violations: {len(summary['eg_violations'])}",
+    ]
+    lines += [f"  VIOLATION: {v['generators']} reg {v['regularity']}"
+              f" bound {v['eg_bound']}" for v in summary["eg_violations"]]
+    return "".join(line + "\n" for line in lines)

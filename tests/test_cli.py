@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -8,8 +10,17 @@ import pytest
 
 from monoalg.cli import InputDocument, main, parse_input
 from monoalg.errors import (
+    InfiniteQuotientError,
+    InputError,
     InputSyntaxError,
+    InternalError,
+    InvalidCharacteristicError,
+    MonoalgError,
+    NegativeEntryError,
     NonIntegerError,
+    NotHomogeneousError,
+    NotSimplicialError,
+    PreconditionError,
     RaggedRowsError,
 )
 from conftest import QUARTIC_GENS, SEC3_GENS
@@ -182,7 +193,35 @@ class TestCommands:
         assert json.loads(out)["properties"]["cohen_macaulay"] is True
 
 
+def readme_exit_codes() -> dict[str, int]:
+    """kind -> exit code, from the table in README's CLI section."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    codes = {}
+    for line in readme.read_text().splitlines():
+        match = re.fullmatch(r"\| `(\d)` \| (.*) \|", line)
+        if match:
+            for kind in re.findall(r"`(\w+)`", match.group(2)):
+                codes[kind] = int(match.group(1))
+    return codes
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("cls, kind, exit_code", [
+        (MonoalgError, "error", 2),
+        (InputError, "input", 1),
+        (RaggedRowsError, "input", 1),
+        (NegativeEntryError, "input", 1),
+        (InvalidCharacteristicError, "invalid_characteristic", 1),
+        (PreconditionError, "precondition", 2),
+        (NotSimplicialError, "not_simplicial", 2),
+        (NotHomogeneousError, "not_homogeneous", 2),
+        (InfiniteQuotientError, "error", 2),
+        (InternalError, "error", 2),
+    ])
+    def test_error_class_contract(self, cls, kind, exit_code):
+        assert (cls.kind, cls.exit_code) == (kind, exit_code)
+        assert readme_exit_codes()[kind] == exit_code
+
     def test_parse_error_is_one(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("1 2\n3\n")
@@ -289,10 +328,36 @@ class TestExitCodes:
         assert err.startswith("error: invalid JSON")
 
 
-class TestGolden:
-    def test_sec3_analyze_matches_stored_output(self, tmp_path, capsys):
-        import pathlib
+SEC3_EG_TEXT = "reg 2 <= degree - codim = 4: holds\n"
 
+SWEEP_TEXT = (
+    "sweep: 5 analyzed, 0 skipped (seed 1)\n"
+    "properties: buchsbaum=5, cohen_macaulay=5, gorenstein=5, normal=0, "
+    "seminormal=1\n"
+    "regularity: min 2 max 6\n"
+    "bound violations: 0\n")
+
+
+class TestGolden:
+    def test_sec3_analyze_text_matches_stored_output(self, tmp_path, capsys):
+        path = write_gens(tmp_path, SEC3_GENS)
+        code, out, _ = run_cli(
+            ["analyze", "--input", path, "--verbose", "--verify", "--tmax",
+             "8"], capsys)
+        assert code == 0
+        golden = pathlib.Path(__file__).parent / "golden" / "sec3_analyze.txt"
+        assert out == golden.read_text()
+
+    def test_sec3_eg_text(self, tmp_path, capsys):
+        path = write_gens(tmp_path, SEC3_GENS)
+        assert run_cli(["eg", "--input", path], capsys) == (
+            0, SEC3_EG_TEXT, "")
+
+    def test_sweep_text(self, capsys):
+        assert run_cli(["sweep", "--count", "5", "--seed", "1"], capsys) == (
+            0, SWEEP_TEXT, "")
+
+    def test_sec3_analyze_matches_stored_output(self, tmp_path, capsys):
         path = write_gens(tmp_path, SEC3_GENS)
         code, out, _ = run_cli(
             ["analyze", "--input", path, "--json", "--verify", "--tmax", "8"],
@@ -302,8 +367,6 @@ class TestGolden:
         assert out == golden.read_text()
 
     def test_outputs_validate_against_schema(self, tmp_path, capsys):
-        import pathlib
-
         import jsonschema
 
         schema = json.loads(

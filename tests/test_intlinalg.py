@@ -158,6 +158,15 @@ class TestSmithNormalForm:
         assert abs(det(v)) == 1
 
 
+@pytest.mark.parametrize("normal_form",
+                         [smith_normal_form, hermite_normal_form])
+@pytest.mark.parametrize("mat", [[[1], [1, 2]], [[1, 2], [1]],
+                                 [[1, 2], [3]], [[3], [1, 2]]])
+def test_ragged_matrix_is_value_error(normal_form, mat):
+    with pytest.raises(ValueError, match="different lengths"):
+        normal_form(mat)
+
+
 class TestLatticeBasis:
     def test_gcd_collapse(self):
         assert hermite_normal_form([(2,), (3,)]) == [[1]]

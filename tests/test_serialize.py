@@ -6,8 +6,9 @@ from monoalg.serialize import (
     canonical_json,
     decomposition_to_dict,
     jsonable,
-    properties_text,
     property_report_to_dict,
+    report_text,
+    sweep_text,
 )
 from conftest import SEC3_GENS
 
@@ -44,18 +45,18 @@ def test_decomposition_dict_round_trips_canonically():
 def test_witness_text_variants():
     # shift-phase failure: h + c lands back in the shift set
     report = full_report(validate([(6, 0), (0, 6), (1, 5), (4, 2)]))
-    lines = "\n".join(properties_text(report))
+    lines = report_text({"properties": property_report_to_dict(report)})
     assert "buchsbaum: false" in lines
     assert "witness:" in lines and " + " in lines
 
     # tie failure for the pairing test
     report = full_report(validate([(3, 0), (0, 3), (1, 2), (2, 1)]))
-    lines = "\n".join(properties_text(report))
+    lines = report_text({"properties": property_report_to_dict(report)})
     assert "maximal coordinate sum tied" in lines
 
     # unpaired element
     report = full_report(validate([(3,), (4,), (5,)]))
-    lines = "\n".join(properties_text(report))
+    lines = report_text({"properties": property_report_to_dict(report)})
     assert "has no partner" in lines
 
 
@@ -64,3 +65,19 @@ def test_property_report_dict_drops_absent_witnesses():
     doc = property_report_to_dict(report)
     assert doc["witnesses"] == {}
     assert doc["cohen_macaulay"] is True
+
+
+def test_sweep_text_prints_each_violation():
+    violation = {"generators": [[2, 0], [0, 2], [1, 1]], "regularity": 3,
+                 "degree": 2, "codim": 1, "eg_bound": 1, "eg_holds": False,
+                 "depth": 2, "properties": {}}
+    summary = {"config": {"seed": 7}, "attempted": 2, "analyzed": 1,
+               "skipped": 1, "properties": {"normal": 1, "buchsbaum": 0},
+               "regularity": {"min": 3, "max": 3},
+               "eg_violations": [violation]}
+    assert sweep_text(summary) == (
+        "sweep: 1 analyzed, 1 skipped (seed 7)\n"
+        "properties: buchsbaum=0, normal=1\n"
+        "regularity: min 3 max 3\n"
+        "bound violations: 1\n"
+        "  VIOLATION: [[2, 0], [0, 2], [1, 1]] reg 3 bound 1\n")
