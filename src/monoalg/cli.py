@@ -27,6 +27,7 @@ from .errors import (
     InputSyntaxError,
     MonoalgError,
     NonIntegerError,
+    NotHomogeneousError,
     RaggedRowsError,
 )
 from .homology import analyze, check_characteristic, hilbert_verify
@@ -245,6 +246,12 @@ def _cmd_report(args) -> int:
     _, sections, view = _COMMANDS[args.command]
     if "regularity" in sections:
         check_characteristic(args.char)
+    functional = semigroup.degree_functional()
+    # --verify needs the degree functional; regularity commands report its
+    # absence from analyze, and a non-simplicial cone is reported first
+    if args.verify and functional is None and "regularity" not in sections:
+        semigroup.frame()
+        raise NotHomogeneousError("the semigroup admits no degree functional")
     dec = decompose(semigroup)
     doc = semigroup_to_dict(semigroup)
     if indoc.name:
@@ -256,8 +263,7 @@ def _cmd_report(args) -> int:
     if args.verify:
         doc["hilbert_verify"] = {
             "t_max": args.tmax,
-            "ok": hilbert_verify(semigroup, dec,
-                                 semigroup.degree_functional(), args.tmax),
+            "ok": hilbert_verify(semigroup, dec, functional, args.tmax),
         }
     sys.stdout.write(canonical_json(doc) if args.json else report_text(doc))
     return 0

@@ -23,8 +23,9 @@ enumeration of the semigroup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from math import comb
+from operator import mul, or_
 
 from .decomposition import Decomposition, MonomialIdeal, Summand, decompose
 from .errors import (
@@ -199,21 +200,60 @@ def _summand_tables(dec: Decomposition,
     return [(s, tables[s.ideal]) for s in dec.summands]
 
 
-def _degree_counts(generators: tuple[Vec, ...], t_max: int) -> list[int]:
+# one dense layer holds at most this many bits (512 KiB); larger boxes keep
+# their layers as sets
+_BITSET_BITS = 1 << 22
+
+
+def _degree_one(functional: DegreeFunctional, vectors) -> bool:
+    return all(sum(map(mul, functional.numerators, v)) == functional.denominator
+               for v in vectors)
+
+
+def _degree_counts(generators: tuple[Vec, ...], t_max: int,
+                   functional: DegreeFunctional | None = None) -> list[int]:
     """Number of distinct sums of exactly t generators, for t = 0..t_max.
 
-    Each vector is packed into one int, ``sum e_k * base**k``.  Entries are
-    nonnegative and no coordinate of a sum of at most ``t_max`` generators
-    reaches ``base``, so the packing is injective on those sums and adds
-    like the vectors do.
+    Each vector is packed into one int in mixed radix, coordinate k with
+    radix ``t_max * (largest k-th entry) + 1``.  Entries are nonnegative and
+    no coordinate of a sum of at most ``t_max`` generators reaches its radix,
+    so the packing is injective on those sums and adds like the vectors do.
+
+    With ``functional``, which must give every generator degree 1 (checked:
+    :class:`ValueError` otherwise), every sum of exactly t generators has
+    degree t.  Its coordinate k, for one k with a nonzero numerator, is then
+    fixed by t and the other coordinates, so k is left out of the packing:
+    the k with the largest entries, which leaves the smallest box.  Where
+    that box has at most ``_BITSET_BITS`` points, each layer is one int
+    bitset with a bit per packed sum, ``layer_t = OR_g (layer_{t-1} <<
+    g)``, and its count is the number of set bits.  Larger boxes (high
+    dimension, large ``t_max``) and calls without a functional keep each
+    layer as a set of packed ints.
     """
-    base = t_max * max(max(g) for g in generators) + 1
-    packed = {sum(e * base**k for k, e in enumerate(g)) for g in generators}
-    layer = {0}
+    radix = [t_max * max(col) + 1 for col in zip(*generators)]
+    kept = list(range(len(radix)))
+    if functional is not None:
+        if not _degree_one(functional, generators):
+            raise ValueError("a generator does not have degree 1")
+        kept.remove(max((k for k, c in enumerate(functional.numerators) if c),
+                        key=radix.__getitem__))
+    scale = {}
+    box = 1
+    for k in kept:
+        scale[k] = box
+        box *= radix[k]
+    packed = {sum(g[k] * s for k, s in scale.items()) for g in generators}
     counts = [1]
-    for _ in range(t_max):
-        layer = {x + g for x in layer for g in packed}
-        counts.append(len(layer))
+    if functional is not None and box <= _BITSET_BITS:
+        layer = 1
+        for _ in range(t_max):
+            layer = reduce(or_, [layer << g for g in packed])
+            counts.append(layer.bit_count())
+    else:
+        layer = {0}
+        for _ in range(t_max):
+            layer = {x + g for x in layer for g in packed}
+            counts.append(len(layer))
     return counts
 
 
@@ -221,24 +261,27 @@ def hilbert_verify(semigroup: AffineSemigroup, dec: Decomposition,
                    functional: DegreeFunctional | None, t_max: int) -> bool:
     """Independent soundness check of the decomposition and its homology.
 
-    Returns False when a summand's ``shift_degree`` differs from the degree
+    Returns False when ``functional`` does not give every generator degree
+    1, since only then are the sums of exactly t generators the degree-t
+    elements, or when a summand's ``shift_degree`` differs from the degree
     ``functional`` gives its shift.  Otherwise counts semigroup elements of
-    each degree up to ``t_max`` by direct enumeration and compares with the
-    :func:`hilbert_function` of the direct sum, read off the summand ideals'
-    Betti tables, each shifted by its ``shift_degree``.  The tables checked
-    are those of every characteristic computed for ``dec``, char 0 if none.
-    The enumeration shares no code path with the decomposition or the
-    homology.  A negative ``t_max`` raises :class:`ValueError`.
+    each degree up to ``t_max`` by direct enumeration
+    (:func:`_degree_counts`, one int bitset per degree layer where the box
+    is small enough) and compares with the :func:`hilbert_function` of the
+    direct sum, read off the summand ideals' Betti tables, each shifted by
+    its ``shift_degree``.  The tables checked are those of every
+    characteristic computed for ``dec``, char 0 if none.  The enumeration
+    shares no code path with the decomposition or the homology.  A negative
+    ``t_max`` raises :class:`ValueError`.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
     if functional is None:
         raise NotHomogeneousError("the semigroup admits no degree functional")
-    if any(s.shift_degree != functional.degree(s.shift) for s in dec.summands):
+    if not _degree_one(functional, semigroup.generators) or any(
+            s.shift_degree != functional.degree(s.shift) for s in dec.summands):
         return False
-    # generators all have degree one, so the sums of exactly t generators
-    # are precisely the degree-t elements
-    left = _degree_counts(semigroup.generators, t_max)
+    left = _degree_counts(semigroup.generators, t_max, functional)
     for char in list(dec.tables) or [0]:
         betti: dict[tuple[int, int], int] = {}  # of the direct sum
         for s, table in _summand_tables(dec, char):

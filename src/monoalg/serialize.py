@@ -1,8 +1,14 @@
 """Canonical report shapes.
 
-JSON documents are rendered with sorted keys and two-space indentation;
-summands are already sorted by coset label inside ``Decomposition``, and
-every set-valued field is sorted before serialization, so output is
+JSON documents are rendered with sorted keys and two-space indentation,
+byte for byte as ``json.dumps(doc, sort_keys=True, indent=2)`` would, by
+one recursive writer (``canonical_json``) that CLI reports and ``sweep
+--json`` share.  It accepts dicts with string keys, lists, strings
+(ASCII-escaped by ``json``'s C routine), ints, bools and None, writes each
+all-int list with one join, and raises :class:`TypeError` on any other
+value.  Summands are already sorted by coset label inside
+``Decomposition``, summands with one ideal share its document, and every
+set-valued field is sorted before serialization, so output is
 byte-identical across runs and platforms.  The text format is printed from
 those same documents (``report_text``, ``sweep_text``), so it holds the
 content of the JSON by construction; it mimics a hash-table session display
@@ -11,8 +17,8 @@ for easy human diffing.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .decomposition import Decomposition, MonomialIdeal, Summand
 from .homology import RegularityReport
@@ -41,11 +47,14 @@ def ideal_to_dict(ideal: MonomialIdeal) -> dict:
     }
 
 
-def summand_to_dict(s: Summand, dec: Decomposition, verbose: bool = False) -> dict:
+def summand_to_dict(s: Summand, dec: Decomposition, ideal: dict,
+                    verbose: bool = False) -> dict:
+    """The summand's document; ``ideal`` is its ideal's, which summands
+    with one ideal share."""
     out = {
         "coset": list(s.coset),
         "shift": list(s.shift),
-        "ideal": ideal_to_dict(s.ideal),
+        "ideal": ideal,
         "gamma": [list(v) for v in s.gamma],
     }
     if s.shift_degree is not None:
@@ -63,13 +72,16 @@ def _lambda(dec: Decomposition, numerators) -> list[str]:
 
 
 def decomposition_to_dict(dec: Decomposition, verbose: bool = False) -> dict:
+    ideals = {ideal: ideal_to_dict(ideal)
+              for ideal in {s.ideal for s in dec.summands}}
     return {
         "frame": [list(e) for e in dec.frame.elements],
         "group": {
             "invariant_factors": list(dec.invariant_factors),
             "order": dec.group_order,
         },
-        "summands": [summand_to_dict(s, dec, verbose) for s in dec.summands],
+        "summands": [summand_to_dict(s, dec, ideals[s.ideal], verbose)
+                     for s in dec.summands],
     }
 
 
@@ -105,7 +117,55 @@ def semigroup_to_dict(semigroup: AffineSemigroup) -> dict:
 
 
 def canonical_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline, written
+    directly: ``json`` falls back to its pure-Python encoder under an
+    indent."""
+    out: list[str] = []
+    _write(doc, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, emit) -> None:
+    """Emit ``value`` as indented JSON; ``newline`` is a line break followed
+    by the indentation of the line ``value`` starts on."""
+    inner = newline + "  "
+    if isinstance(value, list):
+        if not value:
+            emit("[]")
+        elif all(type(v) is int for v in value):  # vectors: one join
+            emit("[" + inner + ("," + inner).join(map(str, value))
+                 + newline + "]")
+        else:
+            sep = "[" + inner
+            for v in value:
+                emit(sep)
+                _write(v, inner, emit)
+                sep = "," + inner
+            emit(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        sep = "{" + inner
+        for k, v in sorted(value.items()):
+            emit(sep + encode_basestring_ascii(k) + ": ")
+            _write(v, inner, emit)
+            sep = "," + inner
+        emit(newline + "}")
+    elif isinstance(value, str):
+        emit(encode_basestring_ascii(value))
+    elif value is None:
+        emit("null")
+    elif value is True:
+        emit("true")
+    elif value is False:
+        emit("false")
+    elif isinstance(value, int):
+        emit(int.__repr__(value))
+    else:
+        raise TypeError(
+            f"{type(value).__name__} values are not written as JSON")
 
 
 # ---------------------------------------------------------------------------

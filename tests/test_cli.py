@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from monoalg import cli
 from monoalg.cli import InputDocument, main, parse_input
 from monoalg.errors import (
     InfiniteQuotientError,
@@ -278,6 +279,26 @@ class TestExitCodes:
         code, out, _ = run_cli(["reg", "--input", path, "--json"], capsys)
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "not_homogeneous"
+
+    @pytest.mark.parametrize("command", ["decompose", "props"])
+    def test_verify_without_grading_fails_before_decomposing(
+            self, command, tmp_path, capsys, monkeypatch):
+        def refuse(semigroup):
+            pytest.fail("decompose ran")
+
+        monkeypatch.setattr(cli, "decompose", refuse)
+        path = write_gens(tmp_path, [(2,), (3,)])
+        code, out, _ = run_cli(
+            [command, "--input", path, "--verify", "--json"], capsys)
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "not_homogeneous"
+        # a cone that is neither simplicial nor graded: simplicial first
+        path = write_gens(tmp_path, [(1, 0, 0), (0, 1, 0), (1, 0, 1),
+                                     (0, 1, 1), (1, 1, 2)])
+        code, out, _ = run_cli(
+            [command, "--input", path, "--verify", "--json"], capsys)
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "not_simplicial"
 
     @pytest.mark.parametrize("command", ["decompose", "props"])
     def test_char_is_usage_error_without_regularity(self, command, tmp_path,

@@ -32,6 +32,7 @@ from monoalg.errors import (
     NotHomogeneousError,
     NotSimplicialError,
 )
+from monoalg.semigroup import DegreeFunctional
 from monoalg.sweep import random_simplicial_instance
 from conftest import NONSIMPLICIAL_GENS, SEC3_GENS
 from oracles import (
@@ -374,6 +375,60 @@ class TestHilbertVerify:
         # packing must not carry from one coordinate into the next
         assert homology._degree_counts(gens, t_max) == \
             degree_counts_tuples(gens, t_max)
+
+    @given(st.integers(0, 2**32), st.integers(1, 4), st.integers(1, 4),
+           st.integers(0, 4), st.lists(st.integers(0, 4), max_size=2),
+           st.integers(0, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_degree_counts_on_degree_one_sets(self, seed, dim, degree,
+                                              extras, added, t_max):
+        # a random_simplicial_instance, with columns appended: a zero column
+        # or a sum of two columns, so the rank is below the ambient
+        # dimension and some numerators of the functional are zero
+        rng = random.Random(seed)
+        inst = random_simplicial_instance(rng, dim, degree, extras)
+        if inst is None:
+            return
+        gens = [list(g) for g in inst.generators]
+        for a in added:
+            for g in gens:
+                g.append(0 if a == 4 else g[a % dim] + g[(a + 1) % dim])
+        B = validate([tuple(g) for g in gens])
+        functional = B.degree_functional()
+        expected = degree_counts_tuples(B.generators, t_max)
+        assert homology._degree_counts(B.generators, t_max,
+                                       functional) == expected
+        with pytest.MonkeyPatch.context() as mp:  # every layer a set
+            mp.setattr(homology, "_BITSET_BITS", 0)
+            assert homology._degree_counts(B.generators, t_max,
+                                           functional) == expected
+
+    def test_degree_counts_above_the_bitset_cap(self):
+        # (6, 0, ..) scaled frame in N^6 and t_max 8: radix 49 in each of
+        # the five kept coordinates, 49**5 bits, past the cap
+        B = random_simplicial_instance(random.Random(3), 6, 6, 2)
+        t_max = 8
+        assert (t_max * 6 + 1) ** 5 > homology._BITSET_BITS
+        assert homology._degree_counts(
+            B.generators, t_max, B.degree_functional()) == \
+            degree_counts_tuples(B.generators, t_max)
+
+    @pytest.mark.parametrize("scale", [(2, 1), (1, 2)])
+    def test_functional_not_of_degree_one_fails(self, sec3, scale,
+                                                monkeypatch):
+        # degree 2, or 1/2, on every generator: the sums of t generators
+        # are then not the degree-t elements, so nothing is counted
+        f = sec3.degree_functional()
+        wrong = DegreeFunctional(tuple(c * scale[0] for c in f.numerators),
+                                 f.denominator * scale[1])
+
+        def refuse(*args):
+            pytest.fail("degree layers were counted")
+
+        with pytest.raises(ValueError, match="degree 1"):
+            homology._degree_counts(sec3.generators, 4, wrong)
+        monkeypatch.setattr(homology, "_degree_counts", refuse)
+        assert not hilbert_verify(sec3, decompose(sec3), wrong, 6)
 
     def test_randomized_instances(self):
         rng = random.Random(1234)

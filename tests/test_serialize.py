@@ -1,6 +1,10 @@
 import json
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from monoalg import MonomialIdeal, betti_ideal, decompose, full_report, validate
 from monoalg.serialize import (
     canonical_json,
@@ -31,6 +35,35 @@ def test_canonical_json_is_sorted_and_newline_terminated():
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
     assert json.loads(text) == {"a": [2, 1], "b": 1}
+
+
+# every value type the package emits, with ints past 2**64, non-ASCII and
+# control characters, and bools and None among ints
+json_scalars = st.one_of(st.none(), st.booleans(), st.text(),
+                         st.integers(), st.integers(-2**80, 2**80))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(st.one_of(st.integers(-2**70, 2**70), st.booleans(),
+                           st.none()), max_size=5),
+        st.dictionaries(st.text(), inner, max_size=5)),
+    max_leaves=30)
+
+
+@given(st.dictionaries(st.text(), json_values, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_canonical_json_matches_json_dumps(doc):
+    assert canonical_json(doc) == \
+        json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": 1.5}, {"a": [1, 2.0]}, {"a": {1, 2}}, {"a": (1, 2)},
+    {"a": {"b": [[1], {3}]}}, {1: 2}])
+def test_canonical_json_rejects_other_types(doc):
+    with pytest.raises(TypeError):
+        canonical_json(doc)
 
 
 def test_decomposition_dict_round_trips_canonically():
