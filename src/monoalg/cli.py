@@ -19,8 +19,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .decomposition import decompose
 from .errors import (
@@ -45,8 +45,7 @@ from .serialize import (
 from .sweep import SweepConfig, run_sweep
 
 
-@dataclass(frozen=True)
-class InputDocument:
+class InputDocument(NamedTuple):
     name: str | None
     generators: list[tuple[int, ...]]
 
@@ -247,11 +246,14 @@ def _cmd_report(args) -> int:
     if "regularity" in sections:
         check_characteristic(args.char)
     functional = semigroup.degree_functional()
-    # --verify needs the degree functional; regularity commands report its
-    # absence from analyze, and a non-simplicial cone is reported first
-    if args.verify and functional is None and "regularity" not in sections:
+    # regularity and --verify need the degree functional: its absence is
+    # reported before any computation, after a non-simplicial cone's
+    if functional is None and ("regularity" in sections or args.verify):
         semigroup.frame()
-        raise NotHomogeneousError("the semigroup admits no degree functional")
+        raise NotHomogeneousError(
+            "regularity needs a homogeneous semigroup"
+            if "regularity" in sections
+            else "the semigroup admits no degree functional")
     dec = decompose(semigroup)
     doc = semigroup_to_dict(semigroup)
     if indoc.name:

@@ -13,15 +13,15 @@ memoized on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm
+from typing import NamedTuple
 
 from .errors import InternalError
 from .semigroup import AffineSemigroup, Frame, Vec, vkey
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(NamedTuple):
     """A monomial ideal in ``num_vars`` variables given by its minimal
     generating exponents (an antichain, sorted by :func:`vkey`).
 
@@ -61,8 +61,8 @@ class MonomialIdeal:
 
     def contains(self, exponent: Vec) -> bool:
         """Whether the monomial with this exponent lies in the ideal."""
-        return any(all(g[i] <= exponent[i] for i in range(self.num_vars))
-                   for g in self.gens)
+        n = range(self.num_vars)
+        return any(all(g[i] <= exponent[i] for i in n) for g in self.gens)
 
     def __str__(self) -> str:
         shown = sorted(self.gens, reverse=True)  # x_1 first, like a lex order
@@ -79,8 +79,7 @@ def monomial_str(exponent: Vec) -> str:
     return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(NamedTuple):
     """One class of the decomposition: its module generators ``gamma`` with
     their :meth:`Frame.numerators` ``gamma_numerators``, the componentwise
     frame-coordinate minimum ``shift`` and its degree (``None`` unless the
@@ -100,20 +99,27 @@ class Summand:
         return tuple(map(min, zip(*self.gamma_numerators)))
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """The summands over the frame ring, one per class of the quotient
-    group.  ``tables`` memoizes, per characteristic, the Betti table of each
-    distinct summand ideal; only :func:`.homology._summand_tables` fills it.
-    It is not an init field, so ``dataclasses.replace`` starts a new, empty
-    memo instead of carrying the original's tables to other summands."""
-
+class _DecompositionFields(NamedTuple):
     frame: Frame
     group_order: int
     invariant_factors: tuple[int, ...]
     summands: tuple[Summand, ...]
-    tables: dict = field(default_factory=dict, init=False, compare=False,
-                         repr=False)
+
+
+class Decomposition(_DecompositionFields):
+    """The summands over the frame ring, one per class of the quotient
+    group.  ``tables`` memoizes, per characteristic, the Betti table of each
+    distinct summand ideal; only :func:`.homology._summand_tables` fills it.
+    It is not a field: equality and hashing ignore it, and ``_replace``
+    starts a new, empty memo instead of carrying the original's tables to
+    other summands."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}")
+
+    @cached_property
+    def tables(self) -> dict:
+        return {}
 
 
 def decompose(semigroup: AffineSemigroup) -> Decomposition:

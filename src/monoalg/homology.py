@@ -14,18 +14,19 @@ otherwise.
 The alternating sum of a Betti table, an Euler characteristic and so the same
 in every characteristic, is the numerator of the ideal's Hilbert series.
 Each :class:`.Decomposition` memoizes its summand ideals' tables per
-characteristic, so :func:`analyze` and :func:`hilbert_verify` share one
-computation, and :func:`hilbert_verify` checks the tables of every
-characteristic computed for the decomposition, char 0 if none, against an
-enumeration of the semigroup.
+characteristic outside its fields (a copy by ``_replace`` starts empty), so
+:func:`analyze` and :func:`hilbert_verify` share one computation, and
+:func:`hilbert_verify` checks the tables of every characteristic computed
+for the decomposition, char 0 if none, against an enumeration of the
+semigroup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, reduce
 from math import comb
 from operator import mul, or_
+from typing import NamedTuple
 
 from .decomposition import Decomposition, MonomialIdeal, Summand, decompose
 from .errors import (
@@ -38,8 +39,7 @@ from .intlinalg import rank
 from .semigroup import AffineSemigroup, DegreeFunctional, Vec, vkey
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(NamedTuple):
     """Map from (homological index, total internal degree) to rank > 0."""
 
     entries: dict[tuple[int, int], int]
@@ -55,8 +55,7 @@ class BettiTable:
         return max(i for (i, _) in self.entries)
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     regularity: int
     witnesses: tuple[tuple[tuple[int, ...], int, int], ...]
     degree: int
@@ -140,12 +139,12 @@ def _reduced_homology_dims(faces: list[tuple[int, ...]], char: int) -> dict[int,
 
 
 def _upper_koszul_faces(ideal: MonomialIdeal, b: Vec) -> list[tuple[int, ...]]:
-    support = [k for k in range(ideal.num_vars) if b[k] >= 1]
+    n = range(ideal.num_vars)
+    support = [k for k in n if b[k] >= 1]
     faces = []
     for mask in range(1 << len(support)):
         sigma = tuple(support[i] for i in range(len(support)) if mask >> i & 1)
-        reduced = tuple(b[k] - (1 if k in sigma else 0)
-                        for k in range(ideal.num_vars))
+        reduced = tuple(b[k] - (1 if k in sigma else 0) for k in n)
         if ideal.contains(reduced):
             faces.append(sigma)
     return faces

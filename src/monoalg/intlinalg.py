@@ -17,8 +17,8 @@ Conventions fixed project-wide:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
 from .errors import InfiniteQuotientError, NotInLatticeError
 
@@ -237,8 +237,7 @@ def rank(rows: list[Vec] | IntMatrix, char: int = 0) -> int:
     return len(echelon(rows, char)[1])
 
 
-@dataclass(frozen=True)
-class SpanSolver:
+class SpanSolver(NamedTuple):
     """Exact coordinates with respect to linearly independent integer vectors.
 
     For vectors ``v_1, ..., v_d`` in Z^m, ``x`` lies in their rational span

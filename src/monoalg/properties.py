@@ -20,8 +20,8 @@ witnesses are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .decomposition import Decomposition, decompose
 from .errors import InternalError
@@ -33,8 +33,7 @@ PROPERTY_NAMES = ("seminormal", "normal", "cohen_macaulay", "buchsbaum",
                   "gorenstein")
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     seminormal: bool
     normal: bool
     cohen_macaulay: bool

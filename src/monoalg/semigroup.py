@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import heapq
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import (
     DimensionMismatchError,
@@ -50,8 +50,7 @@ def primitive(v: Vec) -> Vec:
     return tuple(e // g for e in v)
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """The free subsemigroup: one minimal generator per extreme ray.
 
     ``elements`` are linearly independent over Q and ordered by descending
@@ -61,7 +60,7 @@ class Frame:
     """
 
     elements: tuple[Vec, ...]
-    _solver: SpanSolver
+    solver: SpanSolver
 
     @staticmethod
     def from_elements(elements: tuple[Vec, ...]) -> "Frame":
@@ -78,22 +77,21 @@ class Frame:
     @property
     def denominators(self) -> tuple[int, ...]:
         """The per-coordinate denominators of :meth:`numerators`."""
-        return self._solver.denominators
+        return self.solver.denominators
 
     def numerators(self, x: Vec) -> tuple[int, ...]:
         """Integer numerators of the frame coordinates, linear in ``x``."""
         if len(x) != self.ambient_dim:
             raise DimensionMismatchError(
                 f"vector has length {len(x)}, ambient dimension is {self.ambient_dim}")
-        nums = self._solver.numerators(x)
+        nums = self.solver.numerators(x)
         if nums is None:
             raise OutsideSpanError(
                 f"{tuple(x)} is outside the rational span of the frame")
         return nums
 
 
-@dataclass(frozen=True)
-class DegreeFunctional:
+class DegreeFunctional(NamedTuple):
     """The functional ``numerators / denominator``, 1 on every generator.
 
     On the group generated by B it takes integer values automatically,

@@ -27,12 +27,14 @@ from .semigroup import AffineSemigroup
 
 
 def jsonable(value):
-    """Recursively convert package values into JSON-serializable data."""
+    """Recursively convert package values into JSON-serializable data.
+    Only plain lists and tuples become lists: any other record is left as
+    it is, so that :func:`canonical_json` rejects it."""
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, MonomialIdeal):
         return ideal_to_dict(value)
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):
         return [jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}

@@ -12,8 +12,8 @@ Runs are reproducible from the seed.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .decomposition import decompose
 from .homology import analyze, check_characteristic
@@ -22,8 +22,7 @@ from .semigroup import AffineSemigroup, Vec, vkey, validate
 from .serialize import regularity_report_to_dict
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     ambient_dim: int
     num_generators: int
     max_entry: int
@@ -91,7 +90,7 @@ def run_sweep(cfg: SweepConfig) -> dict:
             results.append(_analyze_instance(instance, cfg.char))
     regs = [res["regularity"] for res in results]
     return {
-        "config": asdict(cfg),
+        "config": cfg._asdict(),
         "attempted": cfg.count,
         "analyzed": len(results),
         "skipped": skipped,

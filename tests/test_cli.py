@@ -300,6 +300,33 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "not_simplicial"
 
+    @pytest.mark.parametrize("flags", [[], ["--verify"]])
+    @pytest.mark.parametrize("command", ["reg", "eg", "analyze"])
+    def test_regularity_without_grading_fails_before_decomposing(
+            self, command, flags, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            pytest.fail("the pipeline ran")
+
+        monkeypatch.setattr(cli, "decompose", refuse)
+        monkeypatch.setattr(cli, "full_report", refuse)
+        path = write_gens(tmp_path, [(2,), (3,)])
+        code, out, err = run_cli(
+            [command, "--input", path, "--json", *flags], capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "kind": "not_homogeneous",
+            "message": "regularity needs a homogeneous semigroup"}
+        assert err == "error: regularity needs a homogeneous semigroup\n"
+        # a cone that is neither simplicial nor graded: simplicial first
+        path = write_gens(tmp_path, [(1, 0, 0), (0, 1, 0), (1, 0, 1),
+                                     (0, 1, 1), (1, 1, 2)])
+        code, out, _ = run_cli(
+            [command, "--input", path, "--json", *flags], capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "kind": "not_simplicial",
+            "message": "cone has 4 extreme rays but rank 3"}
+
     @pytest.mark.parametrize("command", ["decompose", "props"])
     def test_char_is_usage_error_without_regularity(self, command, tmp_path,
                                                     capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -279,9 +278,9 @@ class TestHilbertVerify:
     def test_wrong_shift_degree_fails(self, sec3):
         # one degree off by one, every ideal and shift left as it is
         dec = decompose(sec3)
-        bad = dataclasses.replace(dec.summands[-1],
-                                  shift_degree=dec.summands[-1].shift_degree + 1)
-        broken = dataclasses.replace(dec, summands=dec.summands[:-1] + (bad,))
+        bad = dec.summands[-1]._replace(
+            shift_degree=dec.summands[-1].shift_degree + 1)
+        broken = dec._replace(summands=dec.summands[:-1] + (bad,))
         assert not hilbert_verify(sec3, broken, sec3.degree_functional(), 6)
 
     def test_corrupted_betti_table_fails(self, sec3, monkeypatch):
@@ -330,14 +329,15 @@ class TestHilbertVerify:
 
     def test_replace_starts_an_empty_memo(self, sec3):
         # analyze fills dec's memo first; a decomposition made from it by
-        # replace must compute its own tables, not read dec's
+        # _replace must compute its own tables, not read dec's
         dec = decompose(sec3)
         analyze(sec3, 0, dec)
         assert set(dec.tables) == {0}
         k = next(i for i, s in enumerate(dec.summands) if s.ideal.is_maximal)
-        bad = dataclasses.replace(dec.summands[k], ideal=MonomialIdeal.unit(3))
-        broken = dataclasses.replace(
-            dec, summands=dec.summands[:k] + (bad,) + dec.summands[k + 1:])
+        bad = dec.summands[k]._replace(ideal=MonomialIdeal.unit(3))
+        broken = dec._replace(
+            summands=dec.summands[:k] + (bad,) + dec.summands[k + 1:])
+        assert type(broken) is Decomposition
         assert broken.tables == {}
         assert not hilbert_verify(sec3, broken, sec3.degree_functional(), 6)
         assert hilbert_verify(sec3, dec, sec3.degree_functional(), 6)
@@ -347,10 +347,10 @@ class TestHilbertVerify:
         # maximal one; shifts and their degrees left as they are
         dec = decompose(sec3)
         k = next(i for i, s in enumerate(dec.summands) if s.ideal.is_maximal)
-        bad = dataclasses.replace(dec.summands[k], ideal=MonomialIdeal.unit(3))
+        bad = dec.summands[k]._replace(ideal=MonomialIdeal.unit(3))
         assert any(s.ideal == bad.ideal for s in dec.summands)
-        broken = dataclasses.replace(
-            dec, summands=dec.summands[:k] + (bad,) + dec.summands[k + 1:])
+        broken = dec._replace(
+            summands=dec.summands[:k] + (bad,) + dec.summands[k + 1:])
         assert not hilbert_verify(sec3, broken, sec3.degree_functional(), 6)
 
     def test_not_homogeneous(self):

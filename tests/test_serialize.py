@@ -30,6 +30,18 @@ def test_jsonable_fractions_and_ideals():
     assert out["ideal"]["display"] == "ideal(1)"
 
 
+def test_records_in_witnesses_are_rejected():
+    # a record is a tuple, but it is no JSON list
+    B = validate(SEC3_GENS)
+    dec = decompose(B)
+    report = full_report(B, dec)._replace(
+        witnesses={"normal": {"frame": dec.frame}})
+    doc = property_report_to_dict(report)
+    assert doc["witnesses"]["normal"]["frame"] is dec.frame
+    with pytest.raises(TypeError, match="Frame"):
+        canonical_json(doc)
+
+
 def test_canonical_json_is_sorted_and_newline_terminated():
     text = canonical_json({"b": 1, "a": [2, 1]})
     assert text.endswith("\n")
