@@ -118,6 +118,9 @@ def parse_input(data: bytes | str) -> InputDocument:
         entries = []
         for token in body.split():
             try:
+                # int() also reads "1_0" and non-ASCII digits such as "٣"
+                if "_" in token or not token.isascii():
+                    raise ValueError(token)
                 entries.append(int(token))
             except ValueError:
                 limit = sys.get_int_max_str_digits()
@@ -159,7 +162,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--char", type=int, default=0,
                        help="field characteristic (0 or a prime)")
 
-    for name, (text, sections, _) in _COMMANDS.items():
+    for name, (text, sections) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.set_defaults(run=_cmd_report)
         p.add_argument("--input", help="input file (default: stdin)")
@@ -199,50 +202,24 @@ def _read_semigroup(args) -> tuple[AffineSemigroup, InputDocument]:
     return validate(doc.generators), doc
 
 
-def _decomposition(args, semigroup, dec):
-    return decomposition_to_dict(dec, args.verbose)
-
-
-def _properties(args, semigroup, dec):
-    return property_report_to_dict(full_report(semigroup, dec))
-
-
-def _regularity(args, semigroup, dec):
-    return regularity_report_to_dict(analyze(semigroup, args.char, dec))
-
-
-_SECTIONS = {
-    "decomposition": _decomposition,
-    "properties": _properties,
-    "regularity": _regularity,
-}
-
-
-def _eg_view(doc: dict) -> dict:
-    """The bound check alone, projected from the regularity report."""
-    reg = doc["regularity"]
-    return {"reg": reg["regularity"], "bound": reg["eg_bound"],
-            "holds": reg["eg_holds"]}
-
-
-# subcommand -> (help, sections in output order, optional projection)
+# subcommand -> (help, sections in output order)
 _COMMANDS = {
     "decompose": ("decompose the semigroup ring over its frame ring",
-                  ("decomposition",), None),
+                  ("decomposition",)),
     "props": ("test seminormal, normal, CM, Buchsbaum, Gorenstein",
-              ("properties",), None),
+              ("properties",)),
     "reg": ("compute regularity, degree, codim, and depth",
-            ("regularity",), None),
+            ("regularity",)),
     "eg": ("check the regularity bound degree - codim",
-           ("regularity",), _eg_view),
+           ("regularity",)),
     "analyze": ("run decomposition, properties, and regularity",
-                ("decomposition", "properties", "regularity"), None),
+                ("decomposition", "properties", "regularity")),
 }
 
 
 def _cmd_report(args) -> int:
     semigroup, indoc = _read_semigroup(args)
-    _, sections, view = _COMMANDS[args.command]
+    _, sections = _COMMANDS[args.command]
     if "regularity" in sections:
         check_characteristic(args.char)
     functional = semigroup.degree_functional()
@@ -256,12 +233,19 @@ def _cmd_report(args) -> int:
             else "the semigroup admits no degree functional")
     dec = decompose(semigroup)
     doc = semigroup_to_dict(semigroup)
-    if indoc.name:
+    if indoc.name is not None:
         doc["name"] = indoc.name
-    for name in sections:
-        doc[name] = _SECTIONS[name](args, semigroup, dec)
-    if view is not None:
-        doc = view(doc)
+    if "decomposition" in sections:
+        doc["decomposition"] = decomposition_to_dict(dec, args.verbose)
+    if "properties" in sections:
+        doc["properties"] = property_report_to_dict(full_report(semigroup, dec))
+    if "regularity" in sections:
+        doc["regularity"] = regularity_report_to_dict(
+            analyze(semigroup, args.char, dec))
+    if args.command == "eg":  # the bound check alone
+        reg = doc["regularity"]
+        doc = {"reg": reg["regularity"], "bound": reg["eg_bound"],
+               "holds": reg["eg_holds"]}
     if args.verify:
         doc["hilbert_verify"] = {
             "t_max": args.tmax,

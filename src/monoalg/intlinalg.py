@@ -3,9 +3,11 @@
 Ranks and coordinates all come from one fraction-free Gauss-Jordan routine,
 :func:`echelon`, over Z or mod a prime, whose row update the cone-membership
 simplex shares; a rational coordinate is an integer numerator over an integer
-denominator, and neither floating point nor ``Fraction`` is used.  The Smith
-and Hermite normal forms share one Euclidean row step, :func:`_clear_below`.
-Matrices are lists of row lists, vectors are tuples.  All functions are pure.
+denominator, and neither floating point nor ``Fraction`` is used.  One
+Euclidean row step, :func:`_clear_below`, is the Hermite normal form's and
+both of the Smith normal form's: its row step, and its column step, run on
+the columns of the matrix stacked over the column transform.  Matrices are
+lists of row lists, vectors are tuples.  All functions are pure.
 
 Conventions fixed project-wide:
 
@@ -37,11 +39,6 @@ def identity(n: int) -> IntMatrix:
 def _row_add(mat: IntMatrix, i: int, src: int, q: int) -> None:
     if q:
         mat[i] = [a + q * b for a, b in zip(mat[i], mat[src])]
-
-
-def _col_add(mat: IntMatrix, j: int, src: int, q: int) -> None:
-    for row in mat:
-        row[j] += q * row[src]
 
 
 def _clear_below(mat: IntMatrix, r: int, j: int) -> bool:
@@ -96,24 +93,19 @@ def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             break
         D[t], D[piv[0]] = D[piv[0]], D[t]
         if piv[1] != t:
-            for m in (D, V):
-                for row in m:
-                    row[t], row[piv[1]] = row[piv[1]], row[t]
+            for row in D + V:
+                row[t], row[piv[1]] = row[piv[1]], row[t]
 
         while True:
             dirty = _clear_below(D, t, t)
-            # Clear row t right of the pivot.
-            for j in range(t + 1, ncols):
-                while D[t][j] != 0:
-                    q = D[t][j] // D[t][t]
-                    if q:
-                        _col_add(D, j, t, -q)
-                        _col_add(V, j, t, -q)
-                    if D[t][j]:
-                        for m in (D, V):
-                            for row in m:
-                                row[t], row[j] = row[j], row[t]
-                        dirty = True
+            if any(D[t][t + 1:]):
+                # Clear row t right of the pivot: the same step on the
+                # columns of D stacked over V, so V takes every column
+                # operation.
+                cols = [list(c) for c in zip(*D, *V)]
+                dirty = _clear_below(cols, t, t) or dirty
+                rows = [list(r) for r in zip(*cols)]
+                D, V = rows[:nrows], rows[nrows:]
             if dirty:
                 continue
             # Pivot must divide the remaining block for the chain property;

@@ -183,6 +183,17 @@ class TestCommands:
         code, text, _ = run_cli(["analyze", "--input", str(path)], capsys)
         assert "'demo'" in text
 
+    def test_empty_name_is_echoed(self, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(
+            {"name": "", "generators": [[1, 0], [0, 1]]}))
+        code, out, _ = run_cli(["decompose", "--input", str(path), "--json"],
+                               capsys)
+        assert code == 0
+        assert json.loads(out)["name"] == ""
+        code, text, _ = run_cli(["decompose", "--input", str(path)], capsys)
+        assert text.startswith("semigroup '': 2 generators")
+
     def test_stdin(self, capsys, monkeypatch):
         import io
 
@@ -245,6 +256,28 @@ class TestExitCodes:
         error = json.loads(out)["error"]
         assert error["kind"] == "input"
         assert "empty row" in error["message"]
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0663"])
+    def test_integer_tokens_are_ascii_digits(self, token, tmp_path, capsys):
+        # int() reads these as 10 and 3; JSON input rejects both
+        path = tmp_path / "in.txt"
+        path.write_text(f"1 0\n0 {token}\n", encoding="utf-8")
+        code, out, _ = run_cli(
+            ["decompose", "--json", "--input", str(path)], capsys)
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "kind": "input",
+            "message": f"token {token!r} is not an integer (line 2)"}
+
+    def test_signed_tokens_reach_validation(self, tmp_path, capsys):
+        path = tmp_path / "in.txt"
+        path.write_text("+1 0\n0 -1\n")
+        code, out, _ = run_cli(
+            ["decompose", "--json", "--input", str(path)], capsys)
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "kind": "input",
+            "message": "generator (0, -1) has a negative entry"}
 
     def test_missing_file_is_one(self, capsys):
         code, _, err = run_cli(["analyze", "--input", "/nonexistent/x"],

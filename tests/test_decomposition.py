@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monoalg
@@ -365,15 +365,26 @@ class TestHilbertVerify:
             hilbert_verify(B, dec, B.degree_functional(), -3)
         assert dec.tables == {}
 
-    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
-               st.lists(st.integers(0, 5), min_size=n, max_size=n),
-               min_size=1, max_size=6)),
-           st.integers(0, 9))
-    @example([(10**6, 0, 1), (0, 1, 0), (1, 0, 10**6), (0, 0, 0)], 5)
-    @settings(max_examples=150, deadline=None)
-    def test_degree_counts_match_tuple_sums(self, gens, t_max):
+    @pytest.mark.parametrize("gens, t_max", [
+        # one kept coordinate of radix 4 * (10**6 + 1) + 1: a bitset layer
+        ([(10**6, 1), (1, 10**6), (10**6 + 1, 0), (0, 10**6 + 1)], 4),
+        # two kept coordinates of radix 5 * 10**6 + 1, set layers: with one
+        # less, 5 * (1, 10**6, 0) would carry into the third coordinate and
+        # pack like (10**6, 0, 1) + 4 * (10**6 + 1, 0, 0)
+        ([(1, 10**6, 0), (10**6, 0, 1), (10**6 + 1, 0, 0), (1, 0, 10**6)],
+         5),
+    ], ids=["one_kept", "two_kept"])
+    @pytest.mark.parametrize("sets_only", [False, True],
+                             ids=["default_cap", "sets_only"])
+    def test_degree_counts_near_a_million(self, gens, t_max, sets_only,
+                                          monkeypatch):
+        # every generator has degree 1 under coordinate sum / (10**6 + 1);
         # packing must not carry from one coordinate into the next
-        assert homology._degree_counts(gens, t_max) == \
+        functional = DegreeFunctional((1,) * len(gens[0]), 10**6 + 1)
+        assert all(functional.degree(g) == 1 for g in gens)
+        if sets_only:
+            monkeypatch.setattr(homology, "_BITSET_BITS", 0)
+        assert homology._degree_counts(gens, t_max, functional) == \
             degree_counts_tuples(gens, t_max)
 
     @given(st.integers(0, 2**32), st.integers(1, 4), st.integers(1, 4),
@@ -425,8 +436,6 @@ class TestHilbertVerify:
         def refuse(*args):
             pytest.fail("degree layers were counted")
 
-        with pytest.raises(ValueError, match="degree 1"):
-            homology._degree_counts(sec3.generators, 4, wrong)
         monkeypatch.setattr(homology, "_degree_counts", refuse)
         assert not hilbert_verify(sec3, decompose(sec3), wrong, 6)
 

@@ -144,6 +144,9 @@ class TestSmithNormalForm:
     @given(snf_matrices)
     @example([])
     @example([[0, 0], [0, 0]])
+    @example([[2, 3]])  # the column step swaps
+    @example([[6, 4], [4, 6]])  # pivot column swap, then a column step
+    @example([[2, 3, 5], [4, 7, 11]])  # a column step swaps on 2 x 3
     @settings(max_examples=200, deadline=None)
     def test_matches_reference(self, mat):
         _, d, v = reference_smith_normal_form(mat)

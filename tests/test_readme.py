@@ -1,14 +1,20 @@
-"""README's "Library" section is checked against the package: its code block
+"""README is checked against the package: the "Library" section's code block
 runs, every commented expression evaluates to the literal its comment starts
-with, and every name the section cites in backticks exists."""
+with, and every name the section cites in backticks exists; each shown
+``monoalg`` shell session prints what README says it prints."""
 
 import ast
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import monoalg
+from conftest import SEC3_GENS
+from monoalg.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 HOMES = [monoalg] + [importlib.import_module(f"monoalg.{m.name}")
@@ -72,3 +78,52 @@ def test_library_names_exist():
         except (StopIteration, AttributeError, ImportError):
             raise AssertionError(f"README names `{name}`, which the package "
                                  "does not have") from None
+
+
+def shell_sessions() -> list[tuple[list[str], list[str]]]:
+    """(argv, shown output lines) of every README ``sh`` block that runs
+    ``monoalg``."""
+    sessions = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        command, *shown = block.splitlines()
+        if command.startswith("$ monoalg "):
+            sessions.append((shlex.split(command)[2:], shown))
+    return sessions
+
+
+def matches(shown: list[str], out: list[str]) -> bool:
+    """Whether ``out`` is ``shown`` where a ``...`` line skips any number of
+    lines and ``...`` inside a line stands for any text."""
+    pos, skip = 0, False
+    for line in shown:
+        if line.strip() == "...":
+            skip = True
+            continue
+        pattern = ".*".join(map(re.escape, line.split("...")))
+        while pos < len(out) and not re.fullmatch(pattern, out[pos]):
+            if not skip:
+                return False
+            pos += 1
+        if pos == len(out):
+            return False
+        pos, skip = pos + 1, False
+    return skip or pos == len(out)
+
+
+SESSIONS = shell_sessions()
+
+
+def test_shell_sessions_are_found():
+    assert [argv[0] for argv, _ in SESSIONS] == ["analyze", "sweep"]
+
+
+@pytest.mark.parametrize("argv, shown", SESSIONS,
+                         ids=[argv[0] for argv, _ in SESSIONS])
+def test_shell_session_output(argv, shown, tmp_path, monkeypatch, capsys):
+    # example.txt holds the section-3 semigroup the README reports on
+    (tmp_path / "example.txt").write_text(
+        "".join(" ".join(map(str, g)) + "\n" for g in SEC3_GENS))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert matches(shown, out), "\n".join(out)
