@@ -126,7 +126,9 @@ def parse_input(data: bytes | str) -> InputDocument:
                 limit = sys.get_int_max_str_digits()
                 what = (f"an integer of at most {limit} digits"
                         if 0 < limit < len(token) else "an integer")
-                raise NonIntegerError(f"token {token!r} is not {what}",
+                shown = (repr(token) if len(token) <= 20 else
+                         f"{token[:20]!r}... ({len(token)} characters)")
+                raise NonIntegerError(f"token {shown} is not {what}",
                                       line=lineno) from None
         if width is None:
             width = len(entries)

@@ -5,8 +5,8 @@ frame ring is a polynomial ring in d variables.  Grouping the minimal module
 generators by their class modulo the frame lattice yields, per class, a shift
 vector and a monomial ideal in frame coordinates; together these describe the
 semigroup ring as a finite direct sum of shifted monomial ideals.  The classes,
-their labels and every generator's frame numerators come from the
-module-generator search; the summands carry the numerators on.
+their labels and the frame numerators come from the module-generator search;
+a class of one generator, the usual case, is the unit ideal at it.
 :func:`.homology.hilbert_verify` checks a decomposition by the Betti tables
 memoized on it.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import lcm
+from operator import floordiv, mul, sub
 from typing import NamedTuple
 
 from .errors import InternalError
@@ -54,10 +55,8 @@ class MonomialIdeal(NamedTuple):
 
     @property
     def is_maximal(self) -> bool:
-        """Whether this is the ideal generated by all the variables."""
-        units = {tuple(1 if i == k else 0 for i in range(self.num_vars))
-                 for k in range(self.num_vars)}
-        return set(self.gens) == units
+        """Whether the gens are the n variables: n gens of total degree n."""
+        return len(self.gens) == self.num_vars == sum(map(sum, self.gens))
 
     def contains(self, exponent: Vec) -> bool:
         """Whether the monomial with this exponent lies in the ideal."""
@@ -110,15 +109,19 @@ class Decomposition(_DecompositionFields):
     """The summands over the frame ring, one per class of the quotient
     group.  ``tables`` memoizes, per characteristic, the Betti table of each
     distinct summand ideal; only :func:`.homology._summand_tables` fills it.
-    It is not a field: equality and hashing ignore it, and ``_replace``
-    starts a new, empty memo instead of carrying the original's tables to
-    other summands."""
+    ``scans`` memoizes the :mod:`.properties` scans.  Neither is a
+    field: equality and hashing ignore them, and ``_replace`` starts new,
+    empty memos instead of carrying the original's to other summands."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}")
 
     @cached_property
     def tables(self) -> dict:
+        return {}
+
+    @cached_property
+    def scans(self) -> dict:
         return {}
 
 
@@ -137,6 +140,9 @@ def decompose(semigroup: AffineSemigroup) -> Decomposition:
     group = semigroup.quotient()
     dens = frame.denominators
     common = lcm(*dens)
+    # frame elements have degree one, so deg(shift) = sum(mins[k] / dens[k])
+    weights = [common // p for p in dens] if semigroup.is_homogeneous else None
+    columns = tuple(zip(*frame.elements))
     cosets = semigroup.module_generator_cosets()
     by_label = dict(cosets)
     if not len(cosets) == len(by_label) == group.order:
@@ -145,19 +151,23 @@ def decompose(semigroup: AffineSemigroup) -> Decomposition:
 
     summands = []
     for label, members in sorted(by_label.items()):
-        nums = tuple(num for _, num in members)
-        mins = [min(col) for col in zip(*nums)]
-        gens = [tuple(_exact(a - lo, p) for a, lo, p in zip(num, mins, dens))
-                for num in nums]
-        # within a coset the exponents are automatically a minimal antichain
-        ideal = MonomialIdeal(frame.dim, tuple(sorted(gens, key=vkey)))
-        shift = tuple(c - sum(e * f[i] for e, f in zip(gens[0], frame.elements))
-                      for i, c in enumerate(members[0][0]))
-        # frame elements have degree one, so deg(shift) = sum(mins[k] / dens[k])
-        degree = _exact(sum(lo * (common // p) for lo, p in zip(mins, dens)),
-                        common) if semigroup.is_homogeneous else None
-        summands.append(Summand(label, tuple(x for x, _ in members), nums,
-                                shift, ideal, degree))
+        gamma, nums = zip(*members)
+        if len(nums) == 1:
+            mins, ideal, shift = nums[0], MonomialIdeal.unit(frame.dim), gamma[0]
+        else:
+            mins = tuple(map(min, zip(*nums)))
+            diffs = [tuple(map(sub, num, mins)) for num in nums]
+            gens = [tuple(map(floordiv, d, dens)) for d in diffs]
+            if [tuple(map(mul, e, dens)) for e in gens] != diffs:
+                _exact(*next((a, p) for d in diffs
+                             for a, p in zip(d, dens) if a % p))
+            # in a coset the exponents are automatically a minimal antichain
+            ideal = MonomialIdeal(frame.dim, tuple(sorted(gens, key=vkey)))
+            shift = tuple(c - sum(map(mul, gens[0], col))
+                          for c, col in zip(gamma[0], columns))
+        degree = None if weights is None else _exact(
+            sum(map(mul, mins, weights)), common)
+        summands.append(Summand(label, gamma, nums, shift, ideal, degree))
     return Decomposition(frame, group.order, group.invariant_factors,
                          tuple(summands))
 

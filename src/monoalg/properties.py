@@ -11,19 +11,20 @@ All five tests are combinatorial conditions on one shared decomposition:
 * Gorenstein: Cohen-Macaulay and the shifts pair up against the unique
   shift of maximal coordinate sum.
 
-The two coordinate tests read the frame numerators that each summand carries
-from the module-generator search; nothing here solves for coordinates again.
-None of the tests depends on the coefficient field.  Witness objects are
-produced for every negative answer; scans run in a fixed canonical order so
-witnesses are deterministic.
+The tests share one pass over the frame numerators that each summand carries
+from the module-generator search and one over the summand ideals, made once
+per decomposition; nothing here solves for coordinates again.  None of the
+tests depends on the coefficient field.  Every negative answer has a
+witness, the vkey-least of its kind, so witnesses are deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, ge, gt, sub
 from typing import NamedTuple
 
-from .decomposition import Decomposition, decompose
+from .decomposition import Decomposition, Summand, decompose
 from .errors import InternalError
 from .semigroup import AffineSemigroup, vkey
 
@@ -46,63 +47,70 @@ def _dec(semigroup: AffineSemigroup, dec: Decomposition | None) -> Decomposition
     return dec if dec is not None else decompose(semigroup)
 
 
-def _lambda_scan(dec: Decomposition, strict: bool) -> tuple[bool, dict | None]:
-    # the vkey-first module generator with a numerator above (or at) its
-    # denominator, read off the summands
-    dens = dec.frame.denominators
-    bad = [(x, num) for s in dec.summands
-           for x, num in zip(s.gamma, s.gamma_numerators)
-           if any(a > p if strict else a >= p for a, p in zip(num, dens))]
-    if not bad:
+def _scan(dec: Decomposition) -> tuple:
+    # one pass over the frame numerators and one over the summand ideals,
+    # kept in dec.scans: four verdicts (see below) and the non-unit summands
+    found = dec.scans.get(_scan)
+    if found is None:
+        dens = dec.frame.denominators
+        at = [(x, num) for s in dec.summands
+              for x, num in zip(s.gamma, s.gamma_numerators)
+              if any(map(ge, num, dens))]
+        above = [hit for hit in at if any(map(gt, hit[1], dens))]
+        nonunit = [s for s in dec.summands if not s.ideal.is_unit]
+        odd = [s for s in nonunit if not s.ideal.is_maximal]
+        found = dec.scans.setdefault(_scan, (
+            _lambda_verdict(at, dens), _lambda_verdict(above, dens),
+            _ideal_verdict(nonunit), _ideal_verdict(odd), nonunit))
+    return found
+
+
+def _lambda_verdict(hits: list[tuple], dens: tuple[int, ...]) -> tuple:
+    if not hits:
         return True, None
-    x, num = min(bad, key=lambda item: vkey(item[0]))
+    x, num = min(hits, key=lambda hit: vkey(hit[0]))
     return False, {"element": x, "lambda": tuple(map(Fraction, num, dens))}
+
+
+def _ideal_verdict(hits: list[Summand]) -> tuple:
+    if not hits:
+        return True, None
+    s = min(hits, key=lambda s: vkey(s.shift))
+    return False, {"coset": s.coset, "shift": s.shift, "ideal": s.ideal}
 
 
 def is_seminormal(semigroup: AffineSemigroup,
                   dec: Decomposition | None = None) -> tuple[bool, dict | None]:
     """Seminormality: every module generator has frame coordinates <= 1."""
-    return _lambda_scan(_dec(semigroup, dec), strict=True)
+    return _scan(_dec(semigroup, dec))[1]
 
 
 def is_normal(semigroup: AffineSemigroup,
               dec: Decomposition | None = None) -> tuple[bool, dict | None]:
     """Normality: every nonzero module generator has frame coordinates < 1."""
-    return _lambda_scan(_dec(semigroup, dec), strict=False)
-
-
-def _first_bad_ideal(dec: Decomposition, bad) -> dict | None:
-    """The witness of the summand with the vkey-least shift whose ideal is
-    ``bad``, or ``None`` when no ideal is."""
-    hits = [s for s in dec.summands if bad(s.ideal)]
-    if not hits:
-        return None
-    s = min(hits, key=lambda s: vkey(s.shift))
-    return {"coset": s.coset, "shift": s.shift, "ideal": s.ideal}
+    return _scan(_dec(semigroup, dec))[0]
 
 
 def is_cohen_macaulay(semigroup: AffineSemigroup,
                       dec: Decomposition | None = None) -> tuple[bool, dict | None]:
     """Cohen-Macaulay: every summand ideal is the unit ideal."""
-    witness = _first_bad_ideal(_dec(semigroup, dec), lambda i: not i.is_unit)
-    return witness is None, witness
+    return _scan(_dec(semigroup, dec))[2]
 
 
 def is_buchsbaum(semigroup: AffineSemigroup,
                  dec: Decomposition | None = None) -> tuple[bool, dict | None]:
     dec = _dec(semigroup, dec)
-    witness = _first_bad_ideal(dec, lambda i: not (i.is_unit or i.is_maximal))
-    if witness is not None:
+    (holds, witness), nonunit = _scan(dec)[3:]
+    if not holds:
         return False, {"kind": "ideal", **witness}
-    tops = sorted((s.shift for s in dec.summands if s.ideal.is_maximal),
-                  key=vkey)
+    # every non-unit ideal is maximal now
+    tops = sorted((s.shift for s in nonunit), key=vkey)
     top_set = set(tops)
-    frame_set = set(dec.frame.elements)
-    extras = sorted((g for g in semigroup.generators if g not in frame_set),
+    extras = sorted(set(semigroup.generators) - set(dec.frame.elements),
                     key=vkey)
     for h in tops:
         for c in extras:
-            total = tuple(a + b for a, b in zip(h, c))
+            total = tuple(map(add, h, c))
             if total in top_set:
                 return False, {"kind": "sum", "h": h, "c": c, "sum": total}
     return True, None
@@ -111,31 +119,27 @@ def is_buchsbaum(semigroup: AffineSemigroup,
 def is_gorenstein(semigroup: AffineSemigroup,
                   dec: Decomposition | None = None) -> tuple[bool, dict | None]:
     dec = _dec(semigroup, dec)
-    cm, witness = is_cohen_macaulay(semigroup, dec)
-    if not cm:
+    holds, witness = _scan(dec)[2]
+    if not holds:
         return False, {"kind": "ideal", **witness}
     # all ideals unit, so the shifts are exactly the module generators
     shifts = sorted((s.shift for s in dec.summands), key=vkey)
-    top_sum = max(sum(h) for h in shifts)
+    top_sum = max(map(sum, shifts))
     tied = [h for h in shifts if sum(h) == top_sum]
     if len(tied) > 1:
         return False, {"kind": "tie", "elements": tuple(tied)}
-    top = tied[0]
-    remaining = set(shifts)
-    while remaining:
-        h = min(remaining, key=vkey)
-        partner = tuple(a - b for a, b in zip(top, h))
-        if partner not in remaining:
+    # they pair up when the involution h -> tied[0] - h keeps them
+    shift_set = set(shifts)
+    for h in shifts:
+        partner = tuple(map(sub, tied[0], h))
+        if partner not in shift_set:
             return False, {"kind": "unpaired", "element": h, "partner": partner}
-        # set semantics: one removal when h is its own partner
-        remaining.discard(h)
-        remaining.discard(partner)
     return True, None
 
 
 def full_report(semigroup: AffineSemigroup,
                 dec: Decomposition | None = None) -> PropertyReport:
-    """Run all five tests over one shared decomposition."""
+    """Run all five tests over one shared decomposition and its scans."""
     dec = _dec(semigroup, dec)
     tests = (is_seminormal, is_normal, is_cohen_macaulay, is_buchsbaum,
              is_gorenstein)

@@ -220,33 +220,33 @@ class AffineSemigroup:
         # lam(m) <= lam(x).  Such an m has a smaller coordinate sum, so
         # popping in vkey order decides it first.  Removing an extra from a
         # module generator leaves one, so expanding only the kept elements
-        # reaches them all.  Frame numerators and the quotient's coset label
-        # are carried additively, the label modulo the invariant factors.
+        # reaches them all.  Sums, frame numerators and the quotient's coset
+        # labels are carried additively, the labels modulo invariant factors.
         frame = self.frame()
         group = self.quotient()
         factors = group.invariant_factors
-        extras = [(g, frame.numerators(g), group.project(g))
+        extras = [(sum(g), g, frame.numerators(g), group.project(g))
                   for g in self.generators if g not in frame.elements]
         zero = (0,) * self.ambient_dim
         heap = [(0, zero, (0,) * frame.dim, (0,) * len(factors))]
         seen = {zero}
         kept: dict[tuple[int, ...], list[tuple[Vec, tuple[int, ...]]]] = {}
         result = []
+        add, le, mod = operator.add, operator.le, operator.mod
         while heap:
-            _, x, num, label = heapq.heappop(heap)
+            total, x, num, label = heapq.heappop(heap)
             coset = kept.setdefault(label, [])
-            if any(all(map(operator.le, m, num)) for _, m in coset):
+            if any(all(map(le, m, num)) for _, m in coset):
                 continue
             coset.append((x, num))
             result.append(x)
-            for b, nb, lb in extras:
-                y = tuple(map(operator.add, x, b))
+            for sb, b, nb, lb in extras:
+                y = tuple(map(add, x, b))
                 if y not in seen:
                     seen.add(y)
                     heapq.heappush(heap, (
-                        sum(y), y, tuple(map(operator.add, num, nb)),
-                        tuple((a + c) % f
-                              for a, c, f in zip(label, lb, factors))))
+                        total + sb, y, tuple(map(add, num, nb)),
+                        tuple(map(mod, map(add, label, lb), factors))))
         return tuple(result), tuple(
             (label, tuple(members)) for label, members in kept.items())
 

@@ -9,7 +9,11 @@ its frame from the package and works in any dimension, and for the
 ``Fraction`` simplex and :func:`lp_extreme_rays` built on it.  The
 reference Smith and Hermite normal forms are the package's earlier
 eliminations: the Smith form keeps its left transform ``U``, and the
-Hermite form clears each column by whole pivot passes.
+Hermite form clears each column by whole pivot passes.  Likewise
+:func:`reference_decompose` and :func:`reference_full_report` are the
+package's earlier per-summand decomposition loop and five-scan property
+report; they read the package's frame and module-generator classes and
+build its records, so that their results compare equal.
 """
 
 from __future__ import annotations
@@ -564,3 +568,123 @@ def reference_hermite_normal_form(rows):
                 r += 1
                 break
     return [row[::-1] for row in A[:r]][::-1]
+
+
+def _ref_vkey(v):
+    return (sum(v), v)
+
+
+def reference_decompose(semigroup):
+    """The package's earlier per-summand decomposition loop: exponents by
+    one exact division per coordinate, each shift by subtracting its frame
+    combination, each degree from the minima."""
+    from monoalg.decomposition import Decomposition, MonomialIdeal, Summand
+    from monoalg.errors import InternalError
+
+    def exact(a, p):
+        q, r = divmod(a, p)
+        if r:
+            raise InternalError(f"{a} is not a multiple of {p}")
+        return q
+
+    frame = semigroup.frame()
+    group = semigroup.quotient()
+    dens = frame.denominators
+    common = lcm(*dens)
+    cosets = semigroup.module_generator_cosets()
+    by_label = dict(cosets)
+    if not len(cosets) == len(by_label) == group.order:
+        raise InternalError(f"module generators meet {len(by_label)} of "
+                            f"{group.order} cosets in {len(cosets)} classes")
+    summands = []
+    for label, members in sorted(by_label.items()):
+        nums = tuple(num for _, num in members)
+        mins = [min(col) for col in zip(*nums)]
+        gens = [tuple(exact(a - lo, p) for a, lo, p in zip(num, mins, dens))
+                for num in nums]
+        ideal = MonomialIdeal(frame.dim, tuple(sorted(gens, key=_ref_vkey)))
+        shift = tuple(c - sum(e * f[i] for e, f in zip(gens[0], frame.elements))
+                      for i, c in enumerate(members[0][0]))
+        degree = exact(sum(lo * (common // p) for lo, p in zip(mins, dens)),
+                       common) if semigroup.is_homogeneous else None
+        summands.append(Summand(label, tuple(x for x, _ in members), nums,
+                                shift, ideal, degree))
+    return Decomposition(frame, group.order, group.invariant_factors,
+                         tuple(summands))
+
+
+def reference_full_report(semigroup, dec):
+    """The package's earlier ``full_report``: five separate tests, each
+    with its own scan, Gorenstein repeating the Cohen-Macaulay one, and the
+    maximal ideal recognised by its set of unit vectors."""
+    from monoalg.properties import PropertyReport
+
+    dens = dec.frame.denominators
+
+    def is_maximal(ideal):
+        n = ideal.num_vars
+        return set(ideal.gens) == {tuple(int(i == k) for i in range(n))
+                                   for k in range(n)}
+
+    def lambda_scan(strict):
+        bad = [(x, num) for s in dec.summands
+               for x, num in zip(s.gamma, s.gamma_numerators)
+               if any(a > p if strict else a >= p for a, p in zip(num, dens))]
+        if not bad:
+            return True, None
+        x, num = min(bad, key=lambda item: _ref_vkey(item[0]))
+        return False, {"element": x, "lambda": tuple(map(Fraction, num, dens))}
+
+    def first_bad_ideal(bad):
+        hits = [s for s in dec.summands if bad(s.ideal)]
+        if not hits:
+            return None
+        s = min(hits, key=lambda s: _ref_vkey(s.shift))
+        return {"coset": s.coset, "shift": s.shift, "ideal": s.ideal}
+
+    def cohen_macaulay():
+        witness = first_bad_ideal(lambda i: not i.is_unit)
+        return witness is None, witness
+
+    def buchsbaum():
+        witness = first_bad_ideal(lambda i: not (i.is_unit or is_maximal(i)))
+        if witness is not None:
+            return False, {"kind": "ideal", **witness}
+        tops = sorted((s.shift for s in dec.summands if is_maximal(s.ideal)),
+                      key=_ref_vkey)
+        frame_set = set(dec.frame.elements)
+        extras = sorted((g for g in semigroup.generators
+                         if g not in frame_set), key=_ref_vkey)
+        for h in tops:
+            for c in extras:
+                total = tuple(a + b for a, b in zip(h, c))
+                if total in tops:
+                    return False, {"kind": "sum", "h": h, "c": c, "sum": total}
+        return True, None
+
+    def gorenstein():
+        cm, witness = cohen_macaulay()
+        if not cm:
+            return False, {"kind": "ideal", **witness}
+        shifts = sorted((s.shift for s in dec.summands), key=_ref_vkey)
+        top_sum = max(sum(h) for h in shifts)
+        tied = [h for h in shifts if sum(h) == top_sum]
+        if len(tied) > 1:
+            return False, {"kind": "tie", "elements": tuple(tied)}
+        remaining = set(shifts)
+        while remaining:
+            h = min(remaining, key=_ref_vkey)
+            partner = tuple(a - b for a, b in zip(tied[0], h))
+            if partner not in remaining:
+                return False, {"kind": "unpaired", "element": h,
+                               "partner": partner}
+            remaining.discard(h)
+            remaining.discard(partner)
+        return True, None
+
+    found = {"seminormal": lambda_scan(True), "normal": lambda_scan(False),
+             "cohen_macaulay": cohen_macaulay(), "buchsbaum": buchsbaum(),
+             "gorenstein": gorenstein()}
+    return PropertyReport(
+        **{name: holds for name, (holds, _) in found.items()},
+        witnesses={name: w for name, (_, w) in found.items()})

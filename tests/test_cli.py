@@ -269,6 +269,21 @@ class TestExitCodes:
             "kind": "input",
             "message": f"token {token!r} is not an integer (line 2)"}
 
+    def test_long_bad_token_is_shortened(self, tmp_path, capsys):
+        # the message shows the token's first 20 characters and its length
+        path = tmp_path / "in.txt"
+        path.write_text("1" * 4400 + " 0\n0 1\n")
+        code, _, err = run_cli(["analyze", "--input", str(path)], capsys)
+        assert code == 1
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+        assert "'11111111111111111111'... (4400 characters)" in err
+        code, out, _ = run_cli(
+            ["analyze", "--json", "--input", str(path)], capsys)
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "input"
+        assert len(error["message"].encode()) < 200
+
     def test_signed_tokens_reach_validation(self, tmp_path, capsys):
         path = tmp_path / "in.txt"
         path.write_text("+1 0\n0 -1\n")

@@ -30,6 +30,8 @@ from oracles import (
     brute_seminormal,
     numerical_symmetric,
     redundant_generators,
+    reference_decompose,
+    reference_full_report,
 )
 
 gen_sets = st.integers(1, 2).flatmap(
@@ -240,6 +242,40 @@ class TestFullReport:
                               capture_output=True, text=True, env=env,
                               check=True)
         assert proc.stdout == "raised\n"
+
+
+class TestAgainstReferences:
+    """``decompose`` and ``full_report`` against their earlier per-summand
+    and five-scan forms in ``tests/oracles.py``, witnesses included."""
+
+    @staticmethod
+    def instances():
+        yield validate(SEC3_GENS)
+        for gens in (STEP7_GENS, [(3,), (4,), (5,)],
+                     [(3, 0), (0, 3), (1, 2), (2, 1)]):
+            yield validate(gens)
+        rng = random.Random(16)
+        produced = 0
+        while produced < 220:
+            inst = random_simplicial_instance(
+                rng, rng.randint(3, 5), rng.randint(2, 5), rng.randint(1, 5))
+            if inst is not None:
+                produced += 1
+                yield inst
+
+    def test_equal_to_references(self):
+        kinds = set()
+        for inst in self.instances():
+            dec = decompose(inst)
+            assert dec == reference_decompose(inst)
+            report = full_report(inst, dec)
+            assert report == reference_full_report(inst, dec)
+            kinds.update((name, (w or {}).get("kind"))
+                         for name, w in report.witnesses.items())
+        # every witness shape of Buchsbaum and Gorenstein occurred
+        assert {("buchsbaum", "ideal"), ("buchsbaum", "sum"),
+                ("gorenstein", "ideal"), ("gorenstein", "tie"),
+                ("gorenstein", "unpaired")} <= kinds
 
 
 class TestOracleEquivalence:
