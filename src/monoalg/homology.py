@@ -19,13 +19,21 @@ characteristic outside its fields (a copy by ``_replace`` starts empty), so
 :func:`hilbert_verify` checks the tables of every characteristic computed
 for the decomposition, char 0 if none, against an enumeration of the
 semigroup.
+
+The upper Koszul complex at ``b`` depends only on the generators dividing
+``x^b``, so the summand ideals of one decomposition share most of their
+complexes.  Their homology is memoized by the complex: one memo per
+decomposition and characteristic, shared by its distinct ideals while their
+tables are filled and then dropped, so it is not kept on the record.
+:func:`betti_ideal` and :func:`betti_multigraded` start a fresh memo on
+each call, and nothing is cached at module level.
 """
 
 from __future__ import annotations
 
 from functools import cache, reduce
 from math import comb
-from operator import mul, or_
+from operator import le, lt, mul, or_
 from typing import NamedTuple
 
 from .decomposition import Decomposition, MonomialIdeal, Summand, decompose
@@ -150,31 +158,61 @@ def _upper_koszul_faces(ideal: MonomialIdeal, b: Vec) -> list[tuple[int, ...]]:
     return faces
 
 
-def betti_multigraded(ideal: MonomialIdeal, char: int = 0) -> dict[tuple[int, Vec], int]:
-    """Multigraded Betti numbers, keyed by (homological index, multidegree)."""
+# reduced homology ranks by dimension, keyed by the facet masks of an upper
+# Koszul complex; one memo holds one characteristic
+_Memo = dict[frozenset[int], dict[int, int]]
+
+
+def _multigraded(ideal: MonomialIdeal, char: int,
+                 memo: _Memo) -> dict[tuple[int, Vec], int]:
+    """Multigraded Betti numbers, with the reduced homology of each upper
+    Koszul complex looked up in ``memo`` (characteristic ``char`` only).
+
+    At ``b`` a generator ``g <= b`` has the facet mask of the ``k`` with
+    ``g_k < b_k``; the complex is the union of the power sets of these
+    masks, so their set is its key.  It is empty exactly when no generator
+    divides ``x^b``."""
     check_characteristic(char)
+    n = ideal.num_vars
     if ideal.is_unit:
-        return {(0, (0,) * ideal.num_vars): 1}
+        return {(0, (0,) * n): 1}
+    bits = [1 << k for k in range(n)]
     out: dict[tuple[int, Vec], int] = {}
     for b in _lcm_lattice(ideal):
-        faces = _upper_koszul_faces(ideal, b)
-        if () not in faces:  # x^b itself lies in the ideal
+        key = frozenset(sum(map(mul, map(lt, g, b), bits))
+                        for g in ideal.gens if all(map(le, g, b)))
+        if not key:
             raise InternalError(f"lcm {b} is outside the ideal")
-        for dim, h in _reduced_homology_dims(faces, char).items():
+        dims = memo.get(key)
+        if dims is None:
+            dims = memo[key] = _reduced_homology_dims(
+                _upper_koszul_faces(ideal, b), char)
+        for dim, h in dims.items():
             i = dim + 1
-            if i >= ideal.num_vars:
+            if i >= n:
                 raise InternalError(f"Betti number in index {i} > pd bound")
             out[(i, b)] = h
     return out
 
 
-def betti_ideal(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
-    """Betti table aggregated by total degree."""
+def betti_multigraded(ideal: MonomialIdeal, char: int = 0) -> dict[tuple[int, Vec], int]:
+    """Multigraded Betti numbers, keyed by (homological index, multidegree)."""
+    return _multigraded(ideal, char, {})
+
+
+def _betti_table(ideal: MonomialIdeal, char: int, memo: _Memo) -> BettiTable:
+    """Betti table aggregated by total degree, sharing ``memo`` with the
+    other tables of characteristic ``char`` that the caller computes."""
     entries: dict[tuple[int, int], int] = {}
-    for (i, b), rank in betti_multigraded(ideal, char).items():
+    for (i, b), rank in _multigraded(ideal, char, memo).items():
         key = (i, sum(b))
         entries[key] = entries.get(key, 0) + rank
     return BettiTable(entries)
+
+
+def betti_ideal(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
+    """Betti table aggregated by total degree."""
+    return _betti_table(ideal, char, {})
 
 
 def hilbert_function(betti: dict[tuple[int, int], int], d: int,
@@ -190,11 +228,13 @@ def _summand_tables(dec: Decomposition,
                     char: int) -> list[tuple[Summand, BettiTable]]:
     """Each summand with its ideal's Betti table, one per distinct ideal,
     memoized in ``dec.tables`` so that every caller shares one computation
-    per characteristic."""
+    per characteristic.  The distinct ideals share one homology memo, which
+    is dropped once their tables are stored."""
     tables = dec.tables.get(char)
     if tables is None:
+        memo: _Memo = {}
         tables = dec.tables.setdefault(char, {
-            ideal: betti_ideal(ideal, char)
+            ideal: _betti_table(ideal, char, memo)
             for ideal in dict.fromkeys(s.ideal for s in dec.summands)})
     return [(s, tables[s.ideal]) for s in dec.summands]
 

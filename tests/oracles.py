@@ -13,7 +13,10 @@ Hermite form clears each column by whole pivot passes.  Likewise
 :func:`reference_decompose` and :func:`reference_full_report` are the
 package's earlier per-summand decomposition loop and five-scan property
 report; they read the package's frame and module-generator classes and
-build its records, so that their results compare equal.
+build its records, so that their results compare equal.  And
+:func:`reference_betti_table` is the package's earlier memo-free Betti
+loop, which computes the homology of every lcm point's upper Koszul complex
+afresh from the package's lattice, face and homology helpers.
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ def redundant_generators(gens):
 
 
 def mat_mul(a, b):
-    if a and b:
-        assert len(a[0]) == len(b)
+    if a and b and len(a[0]) != len(b):
+        raise ValueError(f"cannot multiply {len(a[0])} columns by {len(b)} rows")
     cols = len(b[0]) if b else 0
     return [[sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(cols)]
             for ra in a]
@@ -67,7 +70,8 @@ def det(mat):
     n = len(mat)
     if n == 0:
         return 1
-    assert all(len(r) == n for r in mat)
+    if any(len(r) != n for r in mat):
+        raise ValueError("det needs a square matrix")
     m = [row[:] for row in mat]
     sign = 1
     prev = 1
@@ -133,7 +137,8 @@ def solve_fractions(columns, target):
     for i in range(row, m):
         if aug[i][n] != 0:
             return None
-    assert len(piv_cols) == n, "oracle expects independent columns"
+    if len(piv_cols) != n:
+        raise ValueError("oracle expects independent columns")
     out = [Fraction(0)] * n
     for i, col in enumerate(piv_cols):
         out[col] = aug[i][n]
@@ -221,12 +226,12 @@ def brute_frame(gens):
     """Extreme-ray frame for m <= 2, by slope geometry."""
     gens = [tuple(g) for g in gens]
     m = len(gens[0])
+    if m > 2:
+        raise ValueError(f"brute_frame handles m <= 2, got m = {m}")
     directions = sorted({_primitive(g) for g in gens})
     if m == 1 or len(directions) == 1:
         extremes = [directions[0]]
     else:
-        assert m == 2
-
         def cross(u, v):
             return u[0] * v[1] - u[1] * v[0]
 
@@ -397,7 +402,8 @@ def brute_normal_hilbert(gens, probe_sum):
 def numerical_gaps(gens):
     """Gap set of a numerical semigroup with gcd 1 (m == 1 generators)."""
     values = sorted(g[0] for g in gens)
-    assert gcd(*values) == 1
+    if gcd(*values) != 1:
+        raise ValueError(f"generators {values} do not have gcd 1")
     bound = values[0] * values[-1] + 1
     member = [False] * (bound + 1)
     member[0] = True
@@ -688,3 +694,32 @@ def reference_full_report(semigroup, dec):
     return PropertyReport(
         **{name: holds for name, (holds, _) in found.items()},
         witnesses={name: w for name, (_, w) in found.items()})
+
+
+def reference_betti_table(ideal, char=0):
+    """The package's earlier ``betti_multigraded`` loop, with no homology
+    memo: the faces of every lcm point are built and their homology
+    computed anew.  Returns the table summed by total degree."""
+    from monoalg.errors import InternalError
+    from monoalg.homology import (
+        BettiTable,
+        _lcm_lattice,
+        _reduced_homology_dims,
+        _upper_koszul_faces,
+        check_characteristic,
+    )
+
+    check_characteristic(char)
+    if ideal.is_unit:
+        return BettiTable({(0, 0): 1})
+    entries = {}
+    for b in _lcm_lattice(ideal):
+        faces = _upper_koszul_faces(ideal, b)
+        if () not in faces:  # x^b itself lies in the ideal
+            raise InternalError(f"lcm {b} is outside the ideal")
+        for dim, h in _reduced_homology_dims(faces, char).items():
+            i = dim + 1
+            if i >= ideal.num_vars:
+                raise InternalError(f"Betti number in index {i} > pd bound")
+            entries[(i, sum(b))] = entries.get((i, sum(b)), 0) + h
+    return BettiTable(entries)

@@ -42,19 +42,20 @@ from oracles import (
 
 
 def corrupt_maximal_ideal_table(monkeypatch, char=None):
-    """Make ``betti_ideal`` put one Betti number of the maximal ideal off by
-    one, in characteristic ``char`` only, or in every one if ``None``."""
-    real = homology.betti_ideal
+    """Make ``homology._betti_table`` put one Betti number of the maximal
+    ideal off by one, in characteristic ``char`` only, or in every one if
+    ``None``."""
+    real = homology._betti_table
 
-    def corrupted(ideal, c=0):
-        table = real(ideal, c)
+    def corrupted(ideal, c, memo):
+        table = real(ideal, c, memo)
         if not ideal.is_maximal or char not in (None, c):
             return table
         entries = dict(table.entries)
         entries[min(entries)] += 1
         return BettiTable(entries)
 
-    monkeypatch.setattr(homology, "betti_ideal", corrupted)
+    monkeypatch.setattr(homology, "_betti_table", corrupted)
 
 
 def unit_vectors(d):
@@ -309,13 +310,13 @@ class TestHilbertVerify:
     def test_one_betti_table_per_distinct_ideal(self, monkeypatch):
         # analyze and then verify, on instances with repeated ideals
         calls = []
-        real = homology.betti_ideal
+        real = homology._betti_table
 
-        def counted(ideal, char=0):
+        def counted(ideal, char, memo):
             calls.append((ideal, char))
-            return real(ideal, char)
+            return real(ideal, char, memo)
 
-        monkeypatch.setattr(homology, "betti_ideal", counted)
+        monkeypatch.setattr(homology, "_betti_table", counted)
         for gens in (SEC3_GENS, [(6, 0), (0, 6), (1, 5), (5, 1)]):
             B = validate(gens)
             dec = decompose(B)

@@ -14,7 +14,9 @@ from monoalg import (
     full_report,
     validate,
 )
+from monoalg import homology
 from monoalg.errors import (
+    InternalError,
     InvalidCharacteristicError,
     NotHomogeneousError,
     NotSimplicialError,
@@ -22,8 +24,8 @@ from monoalg.errors import (
 from monoalg.homology import check_characteristic
 from monoalg.intlinalg import rank
 from monoalg.sweep import random_simplicial_instance
-from conftest import NONSIMPLICIAL_GENS
-from oracles import taylor_euler_matches
+from conftest import NONSIMPLICIAL_GENS, SEC3_GENS
+from oracles import reference_betti_table, taylor_euler_matches
 
 exponents = st.lists(st.integers(0, 3), min_size=2, max_size=4)
 
@@ -203,3 +205,92 @@ class TestAnalyze:
                 assert report.eg_holds, inst.generators
             if props.buchsbaum:
                 assert analyze(inst, 2, dec) == report
+
+
+class TestAgainstReference:
+    """The homology memo, shared by the summand ideals of one decomposition
+    and fresh per standalone call, against the memo-free Betti loop in
+    ``tests/oracles.py``."""
+
+    @staticmethod
+    def instances():
+        yield validate(SEC3_GENS)
+        rng = random.Random(18)
+        produced = 0
+        while produced < 200:
+            inst = random_simplicial_instance(
+                rng, rng.randint(3, 5), rng.randint(3, 5), rng.randint(2, 5))
+            if inst is not None:
+                produced += 1
+                yield inst
+
+    @staticmethod
+    def ideals(count):
+        """Shaped like the betti_ideals benchmark's: 3-5 variables, 2-7
+        minimal generators, exponents at most 4."""
+        rng = random.Random(1818)
+        out = []
+        while len(out) < count:
+            n = rng.choice((3, 4, 5))
+            k = rng.randint(2, 7)
+            gens = {tuple(rng.randint(0, 4) for _ in range(n))
+                    for _ in range(k)}
+            gens.discard((0,) * n)
+            if gens:
+                out.append(MonomialIdeal.from_gens(n, gens))
+        return out
+
+    @pytest.mark.parametrize("char", [0, 32003])
+    def test_summand_tables_equal_the_reference(self, char):
+        shared = 0
+        for inst in self.instances():
+            dec = decompose(inst)
+            analyze(inst, char, dec)
+            tables = dec.tables[char]
+            assert tables.keys() == {s.ideal for s in dec.summands}
+            for ideal, table in tables.items():
+                assert table == reference_betti_table(ideal, char)
+            shared += sum(not i.is_unit for i in tables) > 1
+        assert shared > 50  # many decompositions share one memo
+
+    @pytest.mark.parametrize("char", [0, 32003])
+    def test_standalone_tables_equal_the_reference(self, char):
+        for ideal in self.ideals(500):
+            assert betti_ideal(ideal, char) == reference_betti_table(
+                ideal, char)
+
+    def test_homology_reused_across_summand_ideals(self, monkeypatch):
+        # an analyze_box-shaped (3, 8, 5) instance: analyze computes fewer
+        # homologies than its distinct ideals do one call each, which
+        # compute fewer than there are lcm points over those ideals
+        calls = []
+        real = homology._reduced_homology_dims
+
+        def counted(faces, char):
+            calls.append(char)
+            return real(faces, char)
+
+        monkeypatch.setattr(homology, "_reduced_homology_dims", counted)
+        inst = random_simplicial_instance(random.Random(7), 3, 8, 5)
+        dec = decompose(inst)
+        analyze(inst, 0, dec)
+        shared = len(calls)
+        ideals = [ideal for ideal in dec.tables[0] if not ideal.is_unit]
+        for ideal in ideals:
+            betti_ideal(ideal)
+        alone = len(calls) - shared
+        points = sum(len(homology._lcm_lattice(ideal)) for ideal in ideals)
+        assert 0 < shared < alone < points
+
+    @pytest.mark.parametrize("name, fake, message", [
+        ("_lcm_lattice", lambda ideal: [(0, 0, 0)], "outside the ideal"),
+        ("_reduced_homology_dims", lambda faces, char: {2: 1}, "pd bound"),
+        ("rank", lambda mat, char: len(mat[0]), "homology rank"),
+    ])
+    def test_internal_checks_fire(self, monkeypatch, name, fake, message):
+        # an lcm point outside the ideal, a Betti number past index n - 1
+        # and a negative homology rank each raise, memo or no memo
+        monkeypatch.setattr(homology, name, fake)
+        ideal = MonomialIdeal.from_gens(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        with pytest.raises(InternalError, match=message):
+            betti_ideal(ideal)

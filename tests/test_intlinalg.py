@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import monoalg
 from monoalg import validate
 from monoalg.errors import InfiniteQuotientError, NotInLatticeError
 from monoalg.errors import DimensionMismatchError, OutsideSpanError
@@ -168,6 +173,22 @@ class TestSmithNormalForm:
 def test_ragged_matrix_is_value_error(normal_form, mat):
     with pytest.raises(ValueError, match="different lengths"):
         normal_form(mat)
+
+
+def test_oracle_preconditions_raise_under_optimize():
+    # the oracles check their inputs with raises, which python -O keeps
+    code = (
+        "from oracles import mat_mul\n"
+        "try:\n"
+        "    mat_mul([[1, 2]], [[1, 2]])\n"
+        "except ValueError:\n"
+        "    print('raised')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(monoalg.__file__).parents[1]), str(Path(__file__).parent)]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env,
+                          check=True)
+    assert proc.stdout == "raised\n"
 
 
 class TestLatticeBasis:
