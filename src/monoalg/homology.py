@@ -5,7 +5,8 @@ upper Koszul complexes: at a multidegree ``b`` the faces are the variable
 subsets that can be divided out of ``x^b`` without leaving the ideal, and the
 rank of the reduced homology in dimension ``i - 1`` is the Betti number in
 homological index ``i``.  Only multidegrees in the lcm lattice of the
-generators can carry homology, so the computation is finite.
+generators, built one generator at a time, can carry homology, so the
+computation is finite; a complex with one maximal facet needs no faces.
 
 Homology ranks are boundary-matrix ranks from the integer elimination kernel
 :func:`.intlinalg.rank`: fraction-free over Z for characteristic zero, mod p
@@ -36,7 +37,7 @@ from math import comb
 from operator import le, lt, mul, or_
 from typing import NamedTuple
 
-from .decomposition import Decomposition, MonomialIdeal, Summand, decompose
+from .decomposition import Decomposition, MonomialIdeal, decompose
 from .errors import (
     InternalError,
     InvalidCharacteristicError,
@@ -94,19 +95,12 @@ def check_characteristic(char: int) -> None:
 # ---------------------------------------------------------------------------
 
 def _lcm_lattice(ideal: MonomialIdeal) -> list[Vec]:
-    """All componentwise maxima of nonempty generator subsets."""
-    gens = list(ideal.gens)
-    lattice = set(gens)
-    frontier = set(gens)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for g in gens:
-                j = tuple(max(x, y) for x, y in zip(a, g))
-                if j not in lattice:
-                    new.add(j)
-        lattice |= new
-        frontier = new
+    """All componentwise maxima of nonempty generator subsets, built one
+    generator at a time: L <- L + {g} + {a v g : a in L}."""
+    lattice: set[Vec] = set()
+    for g in ideal.gens:
+        lattice |= {tuple(map(max, a, g)) for a in lattice}
+        lattice.add(g)
     return sorted(lattice, key=vkey)
 
 
@@ -171,7 +165,8 @@ def _multigraded(ideal: MonomialIdeal, char: int,
     At ``b`` a generator ``g <= b`` has the facet mask of the ``k`` with
     ``g_k < b_k``; the complex is the union of the power sets of these
     masks, so their set is its key.  It is empty exactly when no generator
-    divides ``x^b``."""
+    divides ``x^b``.  One mask containing all the others makes it a
+    simplex, acyclic unless it is the empty face alone."""
     check_characteristic(char)
     n = ideal.num_vars
     if ideal.is_unit:
@@ -185,8 +180,12 @@ def _multigraded(ideal: MonomialIdeal, char: int,
             raise InternalError(f"lcm {b} is outside the ideal")
         dims = memo.get(key)
         if dims is None:
-            dims = memo[key] = _reduced_homology_dims(
-                _upper_koszul_faces(ideal, b), char)
+            top = reduce(or_, key)
+            if top in key:  # a simplex: acyclic unless it is {empty face}
+                dims = memo[key] = {} if top else {-1: 1}
+            else:
+                dims = memo[key] = _reduced_homology_dims(
+                    _upper_koszul_faces(ideal, b), char)
         for dim, h in dims.items():
             i = dim + 1
             if i >= n:
@@ -225,18 +224,18 @@ def hilbert_function(betti: dict[tuple[int, int], int], d: int,
 
 
 def _summand_tables(dec: Decomposition,
-                    char: int) -> list[tuple[Summand, BettiTable]]:
-    """Each summand with its ideal's Betti table, one per distinct ideal,
-    memoized in ``dec.tables`` so that every caller shares one computation
-    per characteristic.  The distinct ideals share one homology memo, which
-    is dropped once their tables are stored."""
+                    char: int) -> dict[MonomialIdeal, BettiTable]:
+    """The Betti table of each distinct summand ideal, in order of first
+    appearance, memoized in ``dec.tables`` so that every caller shares one
+    computation per characteristic.  The distinct ideals share one homology
+    memo, which is dropped once their tables are stored."""
     tables = dec.tables.get(char)
     if tables is None:
         memo: _Memo = {}
         tables = dec.tables.setdefault(char, {
             ideal: _betti_table(ideal, char, memo)
             for ideal in dict.fromkeys(s.ideal for s in dec.summands)})
-    return [(s, tables[s.ideal]) for s in dec.summands]
+    return tables
 
 
 # one dense layer holds at most this many bits (512 KiB); larger boxes keep
@@ -315,8 +314,9 @@ def hilbert_verify(semigroup: AffineSemigroup, dec: Decomposition,
     left = _degree_counts(semigroup.generators, t_max, functional)
     for char in list(dec.tables) or [0]:
         betti: dict[tuple[int, int], int] = {}  # of the direct sum
-        for s, table in _summand_tables(dec, char):
-            for (i, j), r in table.entries.items():
+        tables = _summand_tables(dec, char)
+        for s in dec.summands:
+            for (i, j), r in tables[s.ideal].entries.items():
                 key = (i, j + s.shift_degree)
                 betti[key] = betti.get(key, 0) + r
         if any(left[t] != hilbert_function(betti, dec.frame.dim, t)
@@ -346,8 +346,9 @@ def analyze(semigroup: AffineSemigroup, char: int = 0,
         dec = decompose(semigroup)
 
     d = dec.frame.dim
-    per_summand = [(s, table.regularity(), d - table.projective_dimension())
-                   for s, table in _summand_tables(dec, char)]
+    numbers = {ideal: (table.regularity(), d - table.projective_dimension())
+               for ideal, table in _summand_tables(dec, char).items()}
+    per_summand = [(s, *numbers[s.ideal]) for s in dec.summands]
 
     regularity = max(reg + s.shift_degree for s, reg, _ in per_summand)
     witnesses = tuple((s.coset, reg, s.shift_degree)

@@ -8,14 +8,17 @@ extreme rays come from its fraction-free simplex on the generators with
 support inside the candidate's.  The module generators over
 the frame come from one best-first search, which also gives each of them its
 frame numerators and its coset label in the quotient group; later layers
-read these instead of solving or projecting again.
+read these instead of solving or projecting again.  It holds each candidate
+as plain ints (coordinates and frame numerators in fixed-width fields, and
+its coset label's index) and drops it when generated if already dominated.
 """
 
 from __future__ import annotations
 
-import heapq
 import operator
 from functools import cached_property
+from heapq import heappop, heappush
+from itertools import product
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -23,6 +26,7 @@ from .errors import (
     DimensionMismatchError,
     DuplicateGeneratorError,
     EmptyInputError,
+    InternalError,
     NegativeEntryError,
     NotSimplicialError,
     OutsideSpanError,
@@ -43,6 +47,19 @@ from .intlinalg import (
 def vkey(v: Vec) -> tuple[int, Vec]:
     """Canonical vector order used project-wide: coordinate sum, then lex."""
     return (sum(v), v)
+
+
+def _field_width(bound: int) -> int:
+    return bound.bit_length()  # bits that hold 0..bound
+
+
+def _pack(v: Vec, width: int) -> int:
+    """``v`` in ``width``-bit fields, entry 0 most significant."""
+    return sum(e << width * k for k, e in enumerate(reversed(v)))
+
+
+def _unpack(x: int, width: int, n: int) -> tuple[int, ...]:
+    return tuple(x >> width * k & (1 << width) - 1 for k in reversed(range(n)))
 
 
 def primitive(v: Vec) -> Vec:
@@ -220,35 +237,60 @@ class AffineSemigroup:
         # lam(m) <= lam(x).  Such an m has a smaller coordinate sum, so
         # popping in vkey order decides it first.  Removing an extra from a
         # module generator leaves one, so expanding only the kept elements
-        # reaches them all.  Sums, frame numerators and the quotient's coset
-        # labels are carried additively, the labels modulo invariant factors.
-        frame = self.frame()
-        group = self.quotient()
+        # reaches them all.  A module generator is a sum of fewer than |G|
+        # extras (two partial sums of |G| or more share a coset, and their
+        # difference contains a frame generator), so a candidate's entries
+        # are at most |G| times the extras' largest.  A candidate is its sum
+        # and coordinates in fields, coordinate 0 most significant, so int
+        # order is vkey order; its frame numerators in fields with a guard
+        # bit each, so a <= b iff ((b | guard) - a) & guard == guard; and its
+        # label's index, advanced by a table per extra.
+        frame, group = self.frame(), self.quotient()
         factors = group.invariant_factors
-        extras = [(sum(g), g, frame.numerators(g), group.project(g))
-                  for g in self.generators if g not in frame.elements]
-        zero = (0,) * self.ambient_dim
-        heap = [(0, zero, (0,) * frame.dim, (0,) * len(factors))]
-        seen = {zero}
-        kept: dict[tuple[int, ...], list[tuple[Vec, tuple[int, ...]]]] = {}
-        result = []
-        add, le, mod = operator.add, operator.le, operator.mod
+        extras = [g for g in self.generators if g not in frame.elements]
+        nums = [frame.numerators(g) for g in extras]
+        m, d = self.ambient_dim, frame.dim
+        wx = _field_width(group.order * max(map(max, extras), default=0))
+        wn = _field_width(group.order * max(map(max, nums), default=0)) + 1
+        guard = _pack((1 << wn - 1,) * d, wn)
+        labels = list(product(*map(range, factors)))
+        moves = []
+        for g, nb in zip(extras, nums):
+            table = [0]
+            for f, c in zip(factors, group.project(g)):
+                table = [i * f + (j + c) % f for i in table for j in range(f)]
+            moves.append((sum(g) << m * wx | _pack(g, wx), _pack(nb, wn), table))
+        heap, seen, result, members = [(0, 0, 0)], {0}, [], {}
+        kept: list[list[int]] = [[] for _ in labels]
         while heap:
-            total, x, num, label = heapq.heappop(heap)
-            coset = kept.setdefault(label, [])
-            if any(all(map(le, m, num)) for _, m in coset):
+            key, num, label = heappop(heap)
+            high = num | guard
+            if any((high - k) & guard == guard for k in kept[label]):
                 continue
-            coset.append((x, num))
+            # an overflowed field carries into its neighbour, which lowers
+            # the unpacked sum or sets a guard bit
+            x = _unpack(key, wx, m)
+            if sum(x) != key >> m * wx or num & guard:
+                raise InternalError(f"module generator {x} overflowed")
+            kept[label].append(num)
             result.append(x)
-            for sb, b, nb, lb in extras:
-                y = tuple(map(add, x, b))
-                if y not in seen:
-                    seen.add(y)
-                    heapq.heappush(heap, (
-                        total + sb, y, tuple(map(add, num, nb)),
-                        tuple(map(mod, map(add, label, lb), factors))))
+            members.setdefault(labels[label], []).append(
+                (x, _unpack(num, wn, d)))
+            for kb, nb, table in moves:
+                y = key + kb
+                if y in seen:
+                    continue
+                seen.add(y)
+                # dominated already: never queued (the pop test gets the rest)
+                ny, ly = num + nb, table[label]
+                high = ny | guard
+                for k in kept[ly]:
+                    if (high - k) & guard == guard:
+                        break
+                else:
+                    heappush(heap, (y, ny, ly))
         return tuple(result), tuple(
-            (label, tuple(members)) for label, members in kept.items())
+            (label, tuple(ms)) for label, ms in members.items())
 
     def module_generators(self) -> tuple[Vec, ...]:
         """The elements of B from which no frame generator can be subtracted

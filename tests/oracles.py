@@ -16,11 +16,16 @@ report; they read the package's frame and module-generator classes and
 build its records, so that their results compare equal.  And
 :func:`reference_betti_table` is the package's earlier memo-free Betti
 loop, which computes the homology of every lcm point's upper Koszul complex
-afresh from the package's lattice, face and homology helpers.
+afresh from the package's face and homology helpers, over its own copy of
+the package's earlier frontier lcm lattice (:func:`reference_lcm_lattice`).
+:func:`reference_module_search` is the package's earlier tuple-heap
+module-generator search, run on the package's frame and quotient group.
 """
 
 from __future__ import annotations
 
+import heapq
+import operator
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
@@ -576,6 +581,39 @@ def reference_hermite_normal_form(rows):
     return [row[::-1] for row in A[:r]][::-1]
 
 
+def reference_module_search(semigroup):
+    """The package's earlier module-generator search, on tuples: a heap of
+    ``(sum, x, numerators, label)`` and a tuple dominance test at pop time.
+    Returns ``(module_generators(), module_generator_cosets())``."""
+    frame = semigroup.frame()
+    group = semigroup.quotient()
+    factors = group.invariant_factors
+    extras = [(sum(g), g, frame.numerators(g), group.project(g))
+              for g in semigroup.generators if g not in frame.elements]
+    zero = (0,) * semigroup.ambient_dim
+    heap = [(0, zero, (0,) * frame.dim, (0,) * len(factors))]
+    seen = {zero}
+    kept = {}
+    result = []
+    add, le, mod = operator.add, operator.le, operator.mod
+    while heap:
+        total, x, num, label = heapq.heappop(heap)
+        coset = kept.setdefault(label, [])
+        if any(all(map(le, m, num)) for _, m in coset):
+            continue
+        coset.append((x, num))
+        result.append(x)
+        for sb, b, nb, lb in extras:
+            y = tuple(map(add, x, b))
+            if y not in seen:
+                seen.add(y)
+                heapq.heappush(heap, (
+                    total + sb, y, tuple(map(add, num, nb)),
+                    tuple(map(mod, map(add, label, lb), factors))))
+    return tuple(result), tuple(
+        (label, tuple(members)) for label, members in kept.items())
+
+
 def _ref_vkey(v):
     return (sum(v), v)
 
@@ -696,14 +734,32 @@ def reference_full_report(semigroup, dec):
         witnesses={name: w for name, (_, w) in found.items()})
 
 
+def reference_lcm_lattice(ideal):
+    """The package's earlier lcm lattice: joins of the frontier with every
+    generator until nothing new appears, sorted by (coordinate sum, lex)."""
+    gens = list(ideal.gens)
+    lattice = set(gens)
+    frontier = set(gens)
+    while frontier:
+        new = set()
+        for a in frontier:
+            for g in gens:
+                j = tuple(max(x, y) for x, y in zip(a, g))
+                if j not in lattice:
+                    new.add(j)
+        lattice |= new
+        frontier = new
+    return sorted(lattice, key=_ref_vkey)
+
+
 def reference_betti_table(ideal, char=0):
     """The package's earlier ``betti_multigraded`` loop, with no homology
-    memo: the faces of every lcm point are built and their homology
-    computed anew.  Returns the table summed by total degree."""
+    memo and no one-facet shortcut: the faces of every point of
+    :func:`reference_lcm_lattice` are built and their homology computed
+    anew.  Returns the table summed by total degree."""
     from monoalg.errors import InternalError
     from monoalg.homology import (
         BettiTable,
-        _lcm_lattice,
         _reduced_homology_dims,
         _upper_koszul_faces,
         check_characteristic,
@@ -713,7 +769,7 @@ def reference_betti_table(ideal, char=0):
     if ideal.is_unit:
         return BettiTable({(0, 0): 1})
     entries = {}
-    for b in _lcm_lattice(ideal):
+    for b in reference_lcm_lattice(ideal):
         faces = _upper_koszul_faces(ideal, b)
         if () not in faces:  # x^b itself lies in the ideal
             raise InternalError(f"lcm {b} is outside the ideal")

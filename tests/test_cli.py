@@ -27,6 +27,10 @@ from monoalg.errors import (
 from conftest import QUARTIC_GENS, SEC3_GENS
 
 
+BOX64_GENS = [(8, 0, 0), (0, 8, 0), (0, 0, 8), (1, 7, 0), (2, 0, 6),
+              (2, 5, 1), (3, 5, 0), (4, 0, 4)]
+
+
 def write_gens(tmp_path, gens, name="input.txt"):
     path = tmp_path / name
     path.write_text("\n".join(" ".join(str(e) for e in g) for g in gens) + "\n")
@@ -460,6 +464,19 @@ class TestGolden:
             capsys)
         assert code == 0
         golden = pathlib.Path(__file__).parent / "golden" / "sec3_analyze.json"
+        assert out == golden.read_text()
+
+    def test_box64_analyze_verbose_matches_stored_output(self, tmp_path,
+                                                         capsys):
+        # group Z/8 x Z/8 with 76 module generators: pins the gamma order,
+        # the coset labels and the frame numerators of a larger search
+        path = write_gens(tmp_path, BOX64_GENS)
+        code, out, _ = run_cli(
+            ["analyze", "--input", path, "--json", "--verbose", "--verify",
+             "--tmax", "8"], capsys)
+        assert code == 0
+        golden = (pathlib.Path(__file__).parent / "golden"
+                  / "box64_analyze_verbose.json")
         assert out == golden.read_text()
 
     def test_outputs_validate_against_schema(self, tmp_path, capsys):

@@ -25,7 +25,11 @@ from monoalg.homology import check_characteristic
 from monoalg.intlinalg import rank
 from monoalg.sweep import random_simplicial_instance
 from conftest import NONSIMPLICIAL_GENS, SEC3_GENS
-from oracles import reference_betti_table, taylor_euler_matches
+from oracles import (
+    reference_betti_table,
+    reference_lcm_lattice,
+    taylor_euler_matches,
+)
 
 exponents = st.lists(st.integers(0, 3), min_size=2, max_size=4)
 
@@ -241,17 +245,33 @@ class TestAgainstReference:
         return out
 
     @pytest.mark.parametrize("char", [0, 32003])
-    def test_summand_tables_equal_the_reference(self, char):
+    def test_summand_tables_equal_the_reference(self, monkeypatch, char):
+        # faces are built only where the complex has two or more maximal
+        # facets; a single one is answered without them
+        built = []
+        faces = homology._upper_koszul_faces
+
+        def recorded(ideal, b):
+            out = faces(ideal, b)
+            built.append(out)
+            return out
+
         shared = 0
         for inst in self.instances():
             dec = decompose(inst)
-            analyze(inst, char, dec)
+            with monkeypatch.context() as patch:
+                patch.setattr(homology, "_upper_koszul_faces", recorded)
+                analyze(inst, char, dec)
             tables = dec.tables[char]
             assert tables.keys() == {s.ideal for s in dec.summands}
             for ideal, table in tables.items():
                 assert table == reference_betti_table(ideal, char)
             shared += sum(not i.is_unit for i in tables) > 1
         assert shared > 50  # many decompositions share one memo
+        assert len(built) > 100
+        for fs in built:
+            top = set().union(*map(set, fs))
+            assert tuple(sorted(top)) not in fs  # no single maximal facet
 
     @pytest.mark.parametrize("char", [0, 32003])
     def test_standalone_tables_equal_the_reference(self, char):
@@ -282,6 +302,29 @@ class TestAgainstReference:
         points = sum(len(homology._lcm_lattice(ideal)) for ideal in ideals)
         assert 0 < shared < alone < points
 
+    def test_analyze_reads_each_distinct_table_once(self, monkeypatch):
+        # regularity and projective dimension once per distinct ideal, and
+        # the witnesses in summand order, as read summand by summand
+        calls = []
+        real = homology.BettiTable.regularity
+
+        def counted(table):
+            calls.append(table)
+            return real(table)
+
+        monkeypatch.setattr(homology.BettiTable, "regularity", counted)
+        inst = random_simplicial_instance(random.Random(7), 3, 8, 5)
+        dec = decompose(inst)
+        report = analyze(inst, 0, dec)
+        assert len(calls) == len(dec.tables[0]) < len(dec.summands)
+        regs = [(s, real(dec.tables[0][s.ideal]) + s.shift_degree)
+                for s in dec.summands]
+        assert report.regularity == max(r for _, r in regs)
+        assert report.witnesses == tuple(
+            (s.coset, r - s.shift_degree, s.shift_degree)
+            for s, r in regs if r == report.regularity)
+        assert len(report.witnesses) > 1
+
     @pytest.mark.parametrize("name, fake, message", [
         ("_lcm_lattice", lambda ideal: [(0, 0, 0)], "outside the ideal"),
         ("_reduced_homology_dims", lambda faces, char: {2: 1}, "pd bound"),
@@ -294,3 +337,12 @@ class TestAgainstReference:
         ideal = MonomialIdeal.from_gens(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         with pytest.raises(InternalError, match=message):
             betti_ideal(ideal)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(0, 6)] * n), min_size=1, max_size=7)))
+@settings(max_examples=200, deadline=None)
+def test_lcm_lattice_equals_the_reference(gens):
+    # the generator-at-a-time closure against the frontier closure
+    ideal = MonomialIdeal.from_gens(len(gens[0]), gens)
+    assert homology._lcm_lattice(ideal) == reference_lcm_lattice(ideal)

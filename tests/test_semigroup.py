@@ -1,16 +1,22 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from monoalg import validate
+import monoalg
+from monoalg import semigroup, validate
 from monoalg.errors import (
     DimensionMismatchError,
     DuplicateGeneratorError,
     EmptyInputError,
+    InternalError,
     NegativeEntryError,
     NotSimplicialError,
     OutsideSpanError,
@@ -25,6 +31,7 @@ from oracles import (
     brute_rank,
     lp_extreme_rays,
     members_up_to,
+    reference_module_search,
     solve_fractions,
 )
 
@@ -346,3 +353,71 @@ class TestSearchLabels:
         B = random_simplicial_instance(random.Random(seed), *family)
         assume(B is not None)
         assert_search_facts(B)
+
+
+class TestAgainstReferenceSearch:
+    """The packed search against the tuple search in ``tests/oracles.py``:
+    the same module generators in the same order, and the same classes with
+    the same labels, member order and frame numerators."""
+
+    @staticmethod
+    def assert_same(B):
+        assert (B.module_generators(), B.module_generator_cosets()) == (
+            reference_module_search(B))
+
+    @pytest.mark.parametrize("gens", [
+        SEC3_GENS,
+        [(1, 0), (0, 1)],                                  # frame only
+        [(2,), (3,)],
+        [(3,), (4,), (5,)],
+        [(2, 0), (0, 3), (1, 1)],                          # not homogeneous
+        [(10**6, 0), (0, 10**6), (5 * 10**5, 5 * 10**5)],  # wide fields
+    ])
+    def test_fixed_inputs(self, gens):
+        self.assert_same(validate(gens))
+
+    def test_seeded_instances(self):
+        rng = random.Random(19)
+        families = [(3, 8, 5)] * 70 + [(4, 6, 6)] * 70 + [(5, 2, 5)] * 35 + [
+            (5, 3, 5)] * 35
+        shared = 0
+        for family in families:
+            B = random_simplicial_instance(rng, *family)
+            self.assert_same(B)
+            shared += any(len(members) > 1
+                          for _, members in B.module_generator_cosets())
+        assert shared > 100  # most instances have a class of two or more
+
+
+class TestPackedFieldOverflow:
+    """Fields too narrow for sec3 make the search raise, whether the
+    coordinates overflow (the unpacked sum falls short of the carried one)
+    or the numerators do (a guard bit is set)."""
+
+    @pytest.mark.parametrize("narrow", [(0, 1), (0,), (1,)])
+    def test_overflow_raises(self, monkeypatch, narrow):
+        calls = []
+
+        def width(bound):
+            calls.append(bound)
+            return 2 if len(calls) - 1 in narrow else bound.bit_length()
+
+        monkeypatch.setattr(semigroup, "_field_width", width)
+        with pytest.raises(InternalError, match="overflowed"):
+            validate(SEC3_GENS).module_generators()
+        assert len(calls) == 2
+
+    def test_overflow_raises_under_optimize(self):
+        # the check is an explicit raise, which python -O keeps
+        code = (
+            "from monoalg import semigroup, validate\n"
+            "semigroup._field_width = lambda bound: 2\n"
+            f"validate({SEC3_GENS!r}).module_generators()\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(monoalg.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 1
+        assert "InternalError: module generator" in proc.stderr
+        assert "overflowed" in proc.stderr
