@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import NamedTuple
 
 from .decomposition import decompose
@@ -197,7 +196,8 @@ def _build_parser() -> _Parser:
 
 def _read_semigroup(args) -> tuple[AffineSemigroup, InputDocument]:
     if args.input:
-        data = Path(args.input).read_bytes()
+        with open(args.input, "rb") as f:
+            data = f.read()
     else:
         data = sys.stdin.buffer.read()
     doc = parse_input(data)

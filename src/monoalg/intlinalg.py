@@ -20,6 +20,7 @@ Conventions fixed project-wide:
 from __future__ import annotations
 
 from math import gcd, lcm, prod
+from operator import mul
 from typing import NamedTuple
 
 from .errors import InfiniteQuotientError, NotInLatticeError
@@ -180,7 +181,7 @@ def _eliminate(row: list[int], prow: list[int], col: int) -> list[int]:
 
 
 def _dot(a: Vec, b: Vec) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def echelon(rows: list[Vec] | IntMatrix, char: int = 0) -> tuple[IntMatrix, list[int]]:

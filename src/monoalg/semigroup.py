@@ -5,21 +5,24 @@ nonzero generators with lazily computed cone and lattice data.  Geometry is
 exact and integer-only: frame coordinates and the degree functional are
 numerators over denominators from the elimination kernel of :mod:`.intlinalg`,
 extreme rays come from its fraction-free simplex on the generators with
-support inside the candidate's.  The module generators over
-the frame come from one best-first search, which also gives each of them its
-frame numerators and its coset label in the quotient group; later layers
-read these instead of solving or projecting again.  It holds each candidate
-as plain ints (coordinates and frame numerators in fixed-width fields, and
-its coset label's index) and drops it when generated if already dominated.
+support inside the candidate's.  A direction supported on two or more
+coordinates, each of whose axes holds a generator, is a combination of those
+and needs no simplex.  The module generators over the frame come from one
+best-first search, which also gives each of them its frame numerators and
+its coset label in the quotient group; later layers read these instead of
+solving or projecting again.  It orders and compares candidates as plain
+ints (coordinates and frame numerators in fixed-width fields, and the coset
+label's index), carries their coordinate and numerator tuples beside them,
+and drops a candidate when generated if already dominated.
 """
 
 from __future__ import annotations
 
-import operator
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import product
 from math import gcd, lcm
+from operator import add, index
 from typing import NamedTuple
 
 from .errors import (
@@ -56,10 +59,6 @@ def _field_width(bound: int) -> int:
 def _pack(v: Vec, width: int) -> int:
     """``v`` in ``width``-bit fields, entry 0 most significant."""
     return sum(e << width * k for k, e in enumerate(reversed(v)))
-
-
-def _unpack(x: int, width: int, n: int) -> tuple[int, ...]:
-    return tuple(x >> width * k & (1 << width) - 1 for k in reversed(range(n)))
 
 
 def primitive(v: Vec) -> Vec:
@@ -157,13 +156,19 @@ class AffineSemigroup:
     def _extreme_ray_indices(self) -> tuple[int, ...]:
         # A direction is extreme iff its representative g is no nonnegative
         # combination of the other directions' generators.  These lie in N^m,
-        # so only those with support inside supp(g) can take part.
+        # so only those with support inside supp(g) can take part.  When that
+        # support has two or more coordinates and each of their axes e_c is
+        # a generator direction, g = sum(g_c e_c) is a nonnegative
+        # combination of those axis generators: not extreme, no simplex.
         directions = [primitive(g) for g in self.generators]
+        axes = {d.index(1) for d in directions if sum(d) == 1}
         reps = []
         for direction in sorted(set(directions), reverse=True):
             rep = min((i for i, d in enumerate(directions) if d == direction),
                       key=lambda i: vkey(self.generators[i]))
             support = [c for c, e in enumerate(self.generators[rep]) if e]
+            if len(support) > 1 and axes.issuperset(support):
+                continue
             others = [tuple(h[c] for c in support)
                       for h, d in zip(self.generators, directions)
                       if d != direction and sum(h) == sum(h[c] for c in support)]
@@ -243,8 +248,10 @@ class AffineSemigroup:
         # are at most |G| times the extras' largest.  A candidate is its sum
         # and coordinates in fields, coordinate 0 most significant, so int
         # order is vkey order; its frame numerators in fields with a guard
-        # bit each, so a <= b iff ((b | guard) - a) & guard == guard; and its
-        # label's index, advanced by a table per extra.
+        # bit each, so a <= b iff ((b | guard) - a) & guard == guard; its
+        # label's index, advanced by a table per extra; and its coordinate
+        # and numerator tuples, one tuple(map(add)) each per push.  A kept
+        # element whose tuples do not fit their fields raises.
         frame, group = self.frame(), self.quotient()
         factors = group.invariant_factors
         extras = [g for g in self.generators if g not in frame.elements]
@@ -255,40 +262,45 @@ class AffineSemigroup:
         guard = _pack((1 << wn - 1,) * d, wn)
         labels = list(product(*map(range, factors)))
         moves = []
-        for g, nb in zip(extras, nums):
+        for g, ng in zip(extras, nums):
             table = [0]
             for f, c in zip(factors, group.project(g)):
-                table = [i * f + (j + c) % f for i in table for j in range(f)]
-            moves.append((sum(g) << m * wx | _pack(g, wx), _pack(nb, wn), table))
-        heap, seen, result, members = [(0, 0, 0)], {0}, [], {}
+                step = [*range(c, f), *range(c)]  # j -> (j + c) % f
+                table = [i * f + j for i in table for j in step]
+            moves.append((sum(g) << m * wx | _pack(g, wx), _pack(ng, wn), table,
+                          g, ng))
+        heap = [(0, 0, 0, (0,) * m, (0,) * d)]
+        seen, result, members = {0}, [], {}
         kept: list[list[int]] = [[] for _ in labels]
         while heap:
-            key, num, label = heappop(heap)
+            key, num, label, x, nx = heappop(heap)
             high = num | guard
-            if any((high - k) & guard == guard for k in kept[label]):
-                continue
-            # an overflowed field carries into its neighbour, which lowers
-            # the unpacked sum or sets a guard bit
-            x = _unpack(key, wx, m)
-            if sum(x) != key >> m * wx or num & guard:
-                raise InternalError(f"module generator {x} overflowed")
-            kept[label].append(num)
-            result.append(x)
-            members.setdefault(labels[label], []).append(
-                (x, _unpack(num, wn, d)))
-            for kb, nb, table in moves:
-                y = key + kb
-                if y in seen:
-                    continue
-                seen.add(y)
-                # dominated already: never queued (the pop test gets the rest)
-                ny, ly = num + nb, table[label]
-                high = ny | guard
-                for k in kept[ly]:
-                    if (high - k) & guard == guard:
-                        break
-                else:
-                    heappush(heap, (y, ny, ly))
+            for k in kept[label]:
+                if (high - k) & guard == guard:
+                    break
+            else:
+                # an overflowed field carries into its neighbour, but the
+                # carried tuples hold the true entries
+                if max(x) >> wx or max(nx) >> wn - 1:
+                    raise InternalError(f"module generator {x} overflowed")
+                kept[label].append(num)
+                result.append(x)
+                members.setdefault(labels[label], []).append((x, nx))
+                for kb, nb, table, g, ng in moves:
+                    y = key + kb
+                    if y in seen:
+                        continue
+                    seen.add(y)
+                    # dominated already: never queued (the pop test gets
+                    # the rest)
+                    ny, ly = num + nb, table[label]
+                    high = ny | guard
+                    for k in kept[ly]:
+                        if (high - k) & guard == guard:
+                            break
+                    else:
+                        heappush(heap, (y, ny, ly, tuple(map(add, x, g)),
+                                        tuple(map(add, nx, ng))))
         return tuple(result), tuple(
             (label, tuple(ms)) for label, ms in members.items())
 
@@ -309,7 +321,7 @@ class AffineSemigroup:
 def validate(gens) -> AffineSemigroup:
     """Construct a semigroup from raw generator rows, or reject them."""
     # operator.index rejects floats instead of silently truncating
-    rows = [tuple(operator.index(e) for e in g) for g in gens]
+    rows = [tuple(index(e) for e in g) for g in gens]
     if not rows:
         raise EmptyInputError("a semigroup needs at least one generator")
     m = len(rows[0])

@@ -4,15 +4,17 @@ JSON documents are rendered with sorted keys and two-space indentation,
 byte for byte as ``json.dumps(doc, sort_keys=True, indent=2)`` would, by
 one recursive writer (``canonical_json``) that CLI reports and ``sweep
 --json`` share.  It accepts dicts with string keys, lists, strings
-(ASCII-escaped by ``json``'s C routine), ints, bools and None, writes each
-all-int list with one join, and raises :class:`TypeError` on any other
-value.  Summands are already sorted by coset label inside
-``Decomposition``, summands with one ideal share its document, and every
-set-valued field is sorted before serialization, so output is
-byte-identical across runs and platforms.  The text format is printed from
-those same documents (``report_text``, ``sweep_text``), so it holds the
-content of the JSON by construction; it mimics a hash-table session display
-for easy human diffing.
+(ASCII-escaped by ``json``'s C routine), ints, bools and None, and raises
+:class:`TypeError` on any other value.  Within one call it writes each
+all-int list with one ``%d`` template per length and indentation, and a
+dict met again at the same indentation (summands with one ideal share its
+document) reuses the text of its first rendering.  Summands are already
+sorted by coset label inside ``Decomposition``, and every set-valued field
+is sorted before serialization, so output is byte-identical across runs
+and platforms.  The text format is printed from those same documents
+(``report_text``, ``sweep_text``), so it holds the content of the JSON by
+construction; it mimics a hash-table session display for easy human
+diffing.
 """
 
 from __future__ import annotations
@@ -123,48 +125,67 @@ def canonical_json(doc: dict) -> str:
     directly: ``json`` falls back to its pure-Python encoder under an
     indent."""
     out: list[str] = []
-    _write(doc, "\n", out.append)
+    _write(doc, "\n", out, {})
     out.append("\n")
     return "".join(out)
 
 
-def _write(value, newline: str, emit) -> None:
-    """Emit ``value`` as indented JSON; ``newline`` is a line break followed
-    by the indentation of the line ``value`` starts on."""
-    inner = newline + "  "
+def _write(value, newline: str, out: list[str], memo: dict) -> None:
+    """Append ``value`` as indented JSON to ``out``; ``newline`` is a line
+    break followed by the indentation of the line ``value`` starts on.
+    ``memo`` lasts one call.  It maps a list's indentation and element types
+    to its ``%d`` template when every element is an int ("" otherwise), and
+    a dict's id and indentation to its text (the document keeps every dict
+    alive)."""
     if isinstance(value, list):
         if not value:
-            emit("[]")
-        elif all(type(v) is int for v in value):  # vectors: one join
-            emit("[" + inner + ("," + inner).join(map(str, value))
-                 + newline + "]")
-        else:
-            sep = "[" + inner
-            for v in value:
-                emit(sep)
-                _write(v, inner, emit)
-                sep = "," + inner
-            emit(newline + "]")
+            out.append("[]")
+            return
+        key = (newline, *map(type, value))
+        template = memo.get(key)
+        if template is None:
+            inner = newline + "  "
+            template = memo[key] = (
+                "[" + inner + ("," + inner).join(["%d"] * len(value))
+                + newline + "]") if all(t is int for t in key[1:]) else ""
+        if template:
+            out.append(template % tuple(value))
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for v in value:
+            out.append(sep)
+            _write(v, inner, out, memo)
+            sep = "," + inner
+        out.append(newline + "]")
     elif isinstance(value, dict):
         if not value:
-            emit("{}")
+            out.append("{}")
             return
-        sep = "{" + inner
-        for k, v in sorted(value.items()):
-            emit(sep + encode_basestring_ascii(k) + ": ")
-            _write(v, inner, emit)
-            sep = "," + inner
-        emit(newline + "}")
+        key = (id(value), newline)
+        text = memo.get(key)
+        if text is None:
+            start = len(out)
+            inner = newline + "  "
+            sep = "{" + inner
+            for k, v in sorted(value.items()):
+                out.append(sep + encode_basestring_ascii(k) + ": ")
+                _write(v, inner, out, memo)
+                sep = "," + inner
+            out.append(newline + "}")
+            text = memo[key] = "".join(out[start:])
+            del out[start:]
+        out.append(text)
     elif isinstance(value, str):
-        emit(encode_basestring_ascii(value))
+        out.append(encode_basestring_ascii(value))
     elif value is None:
-        emit("null")
+        out.append("null")
     elif value is True:
-        emit("true")
+        out.append("true")
     elif value is False:
-        emit("false")
+        out.append("false")
     elif isinstance(value, int):
-        emit(int.__repr__(value))
+        out.append(int.__repr__(value))
     else:
         raise TypeError(
             f"{type(value).__name__} values are not written as JSON")

@@ -11,6 +11,10 @@ SEC3_GENS = [(4, 0, 0), (0, 4, 0), (0, 0, 4),
 NONSIMPLICIAL_GENS = [(4, 0, 0), (2, 2, 0), (2, 0, 2), (0, 2, 2),
                       (0, 3, 1), (3, 1, 0), (1, 1, 2)]
 
+# no generator on a coordinate axis; group of order 6, two non-unit
+# summands, not Cohen-Macaulay
+SKEW_GENS = [(3, 1, 0), (1, 3, 0), (1, 0, 3), (1, 2, 1), (2, 1, 1)]
+
 QUARTIC_GENS = [(4, 0), (3, 1), (1, 3), (0, 4)]
 QUINTIC_GENS = [(5, 0), (4, 1), (1, 4), (0, 5)]
 

@@ -24,7 +24,7 @@ from monoalg.errors import (
     PreconditionError,
     RaggedRowsError,
 )
-from conftest import QUARTIC_GENS, SEC3_GENS
+from conftest import QUARTIC_GENS, SEC3_GENS, SKEW_GENS
 
 
 BOX64_GENS = [(8, 0, 0), (0, 8, 0), (0, 0, 8), (1, 7, 0), (2, 0, 6),
@@ -477,6 +477,19 @@ class TestGolden:
         assert code == 0
         golden = (pathlib.Path(__file__).parent / "golden"
                   / "box64_analyze_verbose.json")
+        assert out == golden.read_text()
+
+    def test_skew_analyze_verbose_matches_stored_output(self, tmp_path,
+                                                        capsys):
+        # no generator on an axis, so every extreme-ray test runs the
+        # simplex; two summands share one non-unit ideal document
+        path = write_gens(tmp_path, SKEW_GENS)
+        code, out, _ = run_cli(
+            ["analyze", "--input", path, "--json", "--verbose", "--verify",
+             "--tmax", "8"], capsys)
+        assert code == 0
+        golden = (pathlib.Path(__file__).parent / "golden"
+                  / "skew_analyze.json")
         assert out == golden.read_text()
 
     def test_outputs_validate_against_schema(self, tmp_path, capsys):

@@ -59,10 +59,12 @@ def test_memo_is_not_part_of_equality():
 
 
 def test_cli_import_loads_no_dataclasses():
-    # -S: the environment's site hooks may import these modules themselves
+    # dataclasses also loads inspect; argparse and the package load no
+    # pathlib.  -S: the environment's site hooks may import these modules
+    # themselves
     src = Path(monoalg.__file__).resolve().parents[1]
-    code = ("import sys, monoalg.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    code = ("import sys, monoalg.cli; print(sorted("
+            "{'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, check=True)

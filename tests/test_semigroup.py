@@ -24,7 +24,7 @@ from monoalg.errors import (
 )
 from monoalg.semigroup import Frame
 from monoalg.sweep import random_simplicial_instance
-from conftest import NONSIMPLICIAL_GENS, SEC3_GENS
+from conftest import NONSIMPLICIAL_GENS, SEC3_GENS, SKEW_GENS
 from oracles import (
     box_module_generators,
     brute_module_generators,
@@ -128,9 +128,28 @@ class TestConeGeometry:
     @given(ray_sets())
     @example(NONSIMPLICIAL_GENS)
     @example([(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 3, 0), (1, 1, 0), (0, 0, 2)])
+    # the axes cover every support: no simplex runs
+    @example([(2, 0, 0), (0, 3, 0), (0, 0, 1), (1, 1, 0), (2, 0, 3),
+              (1, 2, 1), (0, 1, 1), (0, 6, 0)])
+    # no axis generator: every direction goes to the simplex
+    @example(SKEW_GENS)
     @settings(max_examples=300, deadline=None)
     def test_against_unrestricted_lp(self, gens):
         assert validate(gens).extreme_rays() == lp_extreme_rays(gens)
+
+    @pytest.mark.parametrize("gens, calls", [(SEC3_GENS, False),
+                                             (SKEW_GENS, True)])
+    def test_simplex_runs_only_off_the_axes(self, monkeypatch, gens, calls):
+        seen, simplex = [], semigroup.nonnegative_combination_exists
+
+        def recording(others, target):
+            seen.append(target)
+            return simplex(others, target)
+
+        monkeypatch.setattr(semigroup, "nonnegative_combination_exists",
+                            recording)
+        validate(gens).extreme_rays()
+        assert bool(seen) == calls
 
     def test_simplicial(self, sec3):
         assert sec3.is_simplicial()

@@ -78,6 +78,26 @@ def test_canonical_json_rejects_other_types(doc):
         canonical_json(doc)
 
 
+# hypothesis never draws one object twice, so the writer's per-call reuse of
+# a dict's text and of an int list's template gets explicit cases
+_SHARED = {"gens": [[0, 1], [2, 0]], "display": "ideal(x_2, x_1^2)", "n": 2}
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": _SHARED, "b": [_SHARED], "c": {"d": [{"e": _SHARED}]}},
+    {"a": [_SHARED, _SHARED], "b": _SHARED},
+    {"a": [{"i": _SHARED, "s": [1, 2]}, {"i": _SHARED, "s": [3, 4]}]},
+    {"a": [1, 2, 3], "b": [[4, 5, 6]], "c": {"d": [[7, 8, 9], [1, 2, 3]]},
+     "e": [-1, 2**70, 0]},
+    {"a": [1, True]},
+    {"a": [[1, 2], [3, True]]},
+    {"a": [[1, 2], [True, 2], [1, None], [1, 2]]},
+])
+def test_canonical_json_reuse_matches_json_dumps(doc):
+    assert canonical_json(doc) == \
+        json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def test_decomposition_dict_round_trips_canonically():
     dec = decompose(validate(SEC3_GENS))
     doc = decomposition_to_dict(dec, verbose=True)
