@@ -94,8 +94,6 @@ def parse_input(data: bytes | str) -> InputDocument:
             raise InputSyntaxError(f"invalid JSON: {exc}") from None
         if isinstance(doc, list):
             return InputDocument(None, _rows_from_json(doc, "$"))
-        if not isinstance(doc, dict):
-            raise InputSyntaxError("top-level JSON must be an object or a list")
         unknown = set(doc) - {"name", "generators"}
         if unknown:
             raise InputSyntaxError(

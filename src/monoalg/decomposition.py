@@ -109,19 +109,15 @@ class Decomposition(_DecompositionFields):
     """The summands over the frame ring, one per class of the quotient
     group.  ``tables`` memoizes, per characteristic, the Betti table of each
     distinct summand ideal; only :func:`.homology._summand_tables` fills it.
-    ``scans`` memoizes the :mod:`.properties` scans.  Neither is a
-    field: equality and hashing ignore them, and ``_replace`` starts new,
-    empty memos instead of carrying the original's to other summands."""
+    It is not a field: equality and hashing ignore it, and ``_replace``
+    starts a new, empty memo instead of carrying the original's to other
+    summands."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}")
 
     @cached_property
     def tables(self) -> dict:
-        return {}
-
-    @cached_property
-    def scans(self) -> dict:
         return {}
 
 

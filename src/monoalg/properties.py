@@ -11,11 +11,12 @@ All five tests are combinatorial conditions on one shared decomposition:
 * Gorenstein: Cohen-Macaulay and the shifts pair up against the unique
   shift of maximal coordinate sum.
 
-The tests share one pass over the frame numerators that each summand carries
-from the module-generator search and one over the summand ideals, made once
-per decomposition; nothing here solves for coordinates again.  None of the
-tests depends on the coefficient field.  Every negative answer has a
-witness, the vkey-least of its kind, so witnesses are deterministic.
+:func:`full_report` runs all five in one pass over the frame numerators that
+each summand carries from the module-generator search and one over the
+summand ideals, and stores nothing; the ``is_*`` functions read their verdict
+off it.  Nothing here solves for coordinates again.  None of the tests
+depends on the coefficient field.  Every negative answer has a witness, the
+vkey-least of its kind, so witnesses are deterministic.
 """
 
 from __future__ import annotations
@@ -29,11 +30,6 @@ from .errors import InternalError
 from .semigroup import AffineSemigroup, vkey
 
 
-# the five properties, in report order; the ``PropertyReport`` field names
-PROPERTY_NAMES = ("seminormal", "normal", "cohen_macaulay", "buchsbaum",
-                  "gorenstein")
-
-
 class PropertyReport(NamedTuple):
     seminormal: bool
     normal: bool
@@ -43,32 +39,15 @@ class PropertyReport(NamedTuple):
     witnesses: dict[str, object]
 
 
-def _dec(semigroup: AffineSemigroup, dec: Decomposition | None) -> Decomposition:
-    return dec if dec is not None else decompose(semigroup)
-
-
-def _scan(dec: Decomposition) -> tuple:
-    # one pass over the frame numerators and one over the summand ideals,
-    # kept in dec.scans: four verdicts (see below) and the non-unit summands
-    found = dec.scans.get(_scan)
-    if found is None:
-        dens = dec.frame.denominators
-        at = [(x, num) for s in dec.summands
-              for x, num in zip(s.gamma, s.gamma_numerators)
-              if any(map(ge, num, dens))]
-        above = [hit for hit in at if any(map(gt, hit[1], dens))]
-        nonunit = [s for s in dec.summands if not s.ideal.is_unit]
-        odd = [s for s in nonunit if not s.ideal.is_maximal]
-        found = dec.scans.setdefault(_scan, (
-            _lambda_verdict(at, dens), _lambda_verdict(above, dens),
-            _ideal_verdict(nonunit), _ideal_verdict(odd), nonunit))
-    return found
+# the five properties, in report order
+PROPERTY_NAMES = PropertyReport._fields[:-1]
 
 
 def _lambda_verdict(hits: list[tuple], dens: tuple[int, ...]) -> tuple:
+    # hits are (sum(x), x, numerators) triples, so the least is x's vkey-least
     if not hits:
         return True, None
-    x, num = min(hits, key=lambda hit: vkey(hit[0]))
+    _, x, num = min(hits)
     return False, {"element": x, "lambda": tuple(map(Fraction, num, dens))}
 
 
@@ -79,28 +58,10 @@ def _ideal_verdict(hits: list[Summand]) -> tuple:
     return False, {"coset": s.coset, "shift": s.shift, "ideal": s.ideal}
 
 
-def is_seminormal(semigroup: AffineSemigroup,
-                  dec: Decomposition | None = None) -> tuple[bool, dict | None]:
-    """Seminormality: every module generator has frame coordinates <= 1."""
-    return _scan(_dec(semigroup, dec))[1]
-
-
-def is_normal(semigroup: AffineSemigroup,
-              dec: Decomposition | None = None) -> tuple[bool, dict | None]:
-    """Normality: every nonzero module generator has frame coordinates < 1."""
-    return _scan(_dec(semigroup, dec))[0]
-
-
-def is_cohen_macaulay(semigroup: AffineSemigroup,
-                      dec: Decomposition | None = None) -> tuple[bool, dict | None]:
-    """Cohen-Macaulay: every summand ideal is the unit ideal."""
-    return _scan(_dec(semigroup, dec))[2]
-
-
-def is_buchsbaum(semigroup: AffineSemigroup,
-                 dec: Decomposition | None = None) -> tuple[bool, dict | None]:
-    dec = _dec(semigroup, dec)
-    (holds, witness), nonunit = _scan(dec)[3:]
+def _buchsbaum(semigroup: AffineSemigroup, dec: Decomposition,
+               nonunit: list[Summand]) -> tuple:
+    holds, witness = _ideal_verdict(
+        [s for s in nonunit if not s.ideal.is_maximal])
     if not holds:
         return False, {"kind": "ideal", **witness}
     # every non-unit ideal is maximal now
@@ -116,10 +77,8 @@ def is_buchsbaum(semigroup: AffineSemigroup,
     return True, None
 
 
-def is_gorenstein(semigroup: AffineSemigroup,
-                  dec: Decomposition | None = None) -> tuple[bool, dict | None]:
-    dec = _dec(semigroup, dec)
-    holds, witness = _scan(dec)[2]
+def _gorenstein(dec: Decomposition, cm: tuple) -> tuple:
+    holds, witness = cm
     if not holds:
         return False, {"kind": "ideal", **witness}
     # all ideals unit, so the shifts are exactly the module generators
@@ -139,16 +98,55 @@ def is_gorenstein(semigroup: AffineSemigroup,
 
 def full_report(semigroup: AffineSemigroup,
                 dec: Decomposition | None = None) -> PropertyReport:
-    """Run all five tests over one shared decomposition and its scans."""
-    dec = _dec(semigroup, dec)
-    tests = (is_seminormal, is_normal, is_cohen_macaulay, is_buchsbaum,
-             is_gorenstein)
-    found = {name: test(semigroup, dec)
-             for name, test in zip(PROPERTY_NAMES, tests)}
-    sn, nr, cm, bb, go = (found[name][0] for name in PROPERTY_NAMES)
-    if (nr and not (sn and cm)) or (go and not cm) or (cm and not bb):
-        raise InternalError("normal => seminormal and Cohen-Macaulay, "
-                            "Gorenstein => Cohen-Macaulay => Buchsbaum fails")
-    return PropertyReport(
-        **{name: holds for name, (holds, _) in found.items()},
-        witnesses={name: w for name, (_, w) in found.items()})
+    """Run all five tests over one decomposition: one pass over its frame
+    numerators, one over its summand ideals, then the Buchsbaum and
+    Gorenstein follow-ups."""
+    if dec is None:
+        dec = decompose(semigroup)
+    dens = dec.frame.denominators
+    at = [(sum(x), x, num) for s in dec.summands
+          for x, num in zip(s.gamma, s.gamma_numerators)
+          if any(map(ge, num, dens))]
+    above = [hit for hit in at if any(map(gt, hit[2], dens))]
+    nonunit = [s for s in dec.summands if not s.ideal.is_unit]
+    normal, cm = _lambda_verdict(at, dens), _ideal_verdict(nonunit)
+    # normality is read off the numerators and Cohen-Macaulayness off the
+    # ideals; Hochster's theorem ties the two readings
+    if normal[0] and not cm[0]:
+        raise InternalError("normal => Cohen-Macaulay fails")
+    holds, witnesses = zip(_lambda_verdict(above, dens), normal, cm,
+                           _buchsbaum(semigroup, dec, nonunit),
+                           _gorenstein(dec, cm))
+    return PropertyReport(*holds, dict(zip(PROPERTY_NAMES, witnesses)))
+
+
+def _verdict(report: PropertyReport, name: str) -> tuple[bool, dict | None]:
+    return getattr(report, name), report.witnesses[name]
+
+
+def is_seminormal(semigroup: AffineSemigroup,
+                  dec: Decomposition | None = None) -> tuple[bool, dict | None]:
+    """Seminormality: every module generator has frame coordinates <= 1."""
+    return _verdict(full_report(semigroup, dec), "seminormal")
+
+
+def is_normal(semigroup: AffineSemigroup,
+              dec: Decomposition | None = None) -> tuple[bool, dict | None]:
+    """Normality: every nonzero module generator has frame coordinates < 1."""
+    return _verdict(full_report(semigroup, dec), "normal")
+
+
+def is_cohen_macaulay(semigroup: AffineSemigroup,
+                      dec: Decomposition | None = None) -> tuple[bool, dict | None]:
+    """Cohen-Macaulay: every summand ideal is the unit ideal."""
+    return _verdict(full_report(semigroup, dec), "cohen_macaulay")
+
+
+def is_buchsbaum(semigroup: AffineSemigroup,
+                 dec: Decomposition | None = None) -> tuple[bool, dict | None]:
+    return _verdict(full_report(semigroup, dec), "buchsbaum")
+
+
+def is_gorenstein(semigroup: AffineSemigroup,
+                  dec: Decomposition | None = None) -> tuple[bool, dict | None]:
+    return _verdict(full_report(semigroup, dec), "gorenstein")

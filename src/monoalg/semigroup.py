@@ -22,7 +22,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from itertools import product
 from math import gcd, lcm
-from operator import add, index
+from operator import add, index, mul
 from typing import NamedTuple
 
 from .errors import (
@@ -118,7 +118,9 @@ class DegreeFunctional(NamedTuple):
     denominator: int
 
     def degree(self, x: Vec) -> int:
-        total = sum(c * e for c, e in zip(self.numerators, x, strict=True))
+        if len(x) != len(self.numerators):
+            raise ValueError(f"{tuple(x)} has the wrong length")
+        total = sum(map(mul, self.numerators, x))
         q, r = divmod(total, self.denominator)
         if r:
             raise ValueError(f"degree of {tuple(x)} is not an integer")

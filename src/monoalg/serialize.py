@@ -97,17 +97,10 @@ def property_report_to_dict(report: PropertyReport) -> dict:
 
 
 def regularity_report_to_dict(report: RegularityReport) -> dict:
-    return {
-        "regularity": report.regularity,
-        "witnesses": [{"coset": list(c), "ideal_regularity": r,
-                       "shift_degree": d}
-                      for c, r, d in report.witnesses],
-        "degree": report.degree,
-        "codim": report.codim,
-        "eg_bound": report.eg_bound,
-        "eg_holds": report.eg_holds,
-        "depth": report.depth,
-    }
+    return {**report._asdict(),
+            "witnesses": [{"coset": list(c), "ideal_regularity": r,
+                           "shift_degree": d}
+                          for c, r, d in report.witnesses]}
 
 
 def semigroup_to_dict(semigroup: AffineSemigroup) -> dict:

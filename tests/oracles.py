@@ -16,8 +16,9 @@ report; they read the package's frame and module-generator classes and
 build its records, so that their results compare equal.  And
 :func:`reference_betti_table` is the package's earlier memo-free Betti
 loop, which computes the homology of every lcm point's upper Koszul complex
-afresh from the package's face and homology helpers, over its own copy of
-the package's earlier frontier lcm lattice (:func:`reference_lcm_lattice`).
+afresh from its own copies of the package's face and homology helpers, with
+ranks from :func:`brute_rank`, over its own copy of the package's earlier
+frontier lcm lattice (:func:`reference_lcm_lattice`).
 :func:`reference_module_search` is the package's earlier tuple-heap
 module-generator search, run on the package's frame and quotient group.
 """
@@ -29,6 +30,8 @@ import operator
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
+
+from monoalg.errors import InternalError
 
 
 def members_up_to(gens, max_sum):
@@ -623,7 +626,6 @@ def reference_decompose(semigroup):
     one exact division per coordinate, each shift by subtracting its frame
     combination, each degree from the minima."""
     from monoalg.decomposition import Decomposition, MonomialIdeal, Summand
-    from monoalg.errors import InternalError
 
     def exact(a, p):
         q, r = divmod(a, p)
@@ -752,18 +754,63 @@ def reference_lcm_lattice(ideal):
     return sorted(lattice, key=_ref_vkey)
 
 
+def _upper_koszul_faces(ideal: MonomialIdeal, b: Vec) -> list[tuple[int, ...]]:
+    """The package's ``homology._upper_koszul_faces``: the faces of K^b,
+    each support subset sigma of b with x^(b - sigma) in the ideal."""
+    n = range(ideal.num_vars)
+    support = [k for k in n if b[k] >= 1]
+    faces = []
+    for mask in range(1 << len(support)):
+        sigma = tuple(support[i] for i in range(len(support)) if mask >> i & 1)
+        reduced = tuple(b[k] - (1 if k in sigma else 0) for k in n)
+        if ideal.contains(reduced):
+            faces.append(sigma)
+    return faces
+
+
+def _reduced_homology_dims(faces: list[tuple[int, ...]], char: int) -> dict[int, int]:
+    """Reduced homology ranks of a simplicial complex containing the empty
+    face, keyed by dimension (-1 for the empty face): the package's
+    ``homology._reduced_homology_dims``, with ranks from :func:`brute_rank`."""
+    by_dim: dict[int, list[tuple[int, ...]]] = {}
+    for f in faces:
+        by_dim.setdefault(len(f) - 1, []).append(f)
+    for fs in by_dim.values():
+        fs.sort()
+    top = max(by_dim)
+    index = {dim: {f: i for i, f in enumerate(fs)}
+             for dim, fs in by_dim.items()}
+
+    def boundary_rank(dim: int) -> int:
+        # rank of the map from dim-faces to (dim-1)-faces
+        if dim not in by_dim or (dim - 1) not in by_dim:
+            return 0
+        cols = by_dim[dim]
+        rows = by_dim[dim - 1]
+        mat = [[0] * len(cols) for _ in rows]
+        for j, face in enumerate(cols):
+            for drop in range(len(face)):
+                sub = face[:drop] + face[drop + 1:]
+                mat[index[dim - 1][sub]][j] = -1 if drop % 2 else 1
+        return brute_rank(mat, char)
+
+    ranks = {dim: boundary_rank(dim) for dim in range(0, top + 2)}
+    dims = {}
+    for dim in range(-1, top + 1):
+        h = len(by_dim.get(dim, ())) - ranks.get(dim, 0) - ranks.get(dim + 1, 0)
+        if h < 0:
+            raise InternalError(f"homology rank {h} in dimension {dim}")
+        if h > 0:
+            dims[dim] = h
+    return dims
+
+
 def reference_betti_table(ideal, char=0):
     """The package's earlier ``betti_multigraded`` loop, with no homology
     memo and no one-facet shortcut: the faces of every point of
     :func:`reference_lcm_lattice` are built and their homology computed
     anew.  Returns the table summed by total degree."""
-    from monoalg.errors import InternalError
-    from monoalg.homology import (
-        BettiTable,
-        _reduced_homology_dims,
-        _upper_koszul_faces,
-        check_characteristic,
-    )
+    from monoalg.homology import BettiTable, check_characteristic
 
     check_characteristic(char)
     if ideal.is_unit:

@@ -87,7 +87,8 @@ class TestParseInput:
 
     def test_syntax_errors(self):
         for bad in ("", "{broken", '{"generators": 7}', '{"extra": 1}',
-                    '{"name": 5, "generators": [[1]]}', "[7]"):
+                    '{"name": 5, "generators": [[1]]}', "[7]",
+                    "# a comment\n\n  # and no row\n"):
             with pytest.raises(InputSyntaxError):
                 parse_input(bad)
 
@@ -260,6 +261,16 @@ class TestExitCodes:
         error = json.loads(out)["error"]
         assert error["kind"] == "input"
         assert "empty row" in error["message"]
+
+    def test_non_utf8_input_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1 0\n0 1  # \xe9\n")
+        code, out, _ = run_cli(
+            ["decompose", "--json", "--input", str(path)], capsys)
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "input"
+        assert error["message"].startswith("input is not UTF-8")
 
     @pytest.mark.parametrize("token", ["1_0", "\u0663"])
     def test_integer_tokens_are_ascii_digits(self, token, tmp_path, capsys):

@@ -74,6 +74,13 @@ class TestMonomialIdeal:
     def test_maximal(self):
         assert MonomialIdeal.from_gens(2, [(1, 0), (0, 1)]).is_maximal
 
+    @pytest.mark.parametrize("gens", [[], [(1, 0, 0)], [(1, 0), (2,)],
+                                      [(1, -1)]])
+    def test_from_gens_rejects(self, gens):
+        # no generator, a vector of the wrong length, a negative entry
+        with pytest.raises(ValueError):
+            MonomialIdeal.from_gens(2, gens)
+
     def test_contains(self):
         ideal = MonomialIdeal.from_gens(2, [(2, 0), (0, 1)])
         assert ideal.contains((2, 0))

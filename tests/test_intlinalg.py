@@ -297,6 +297,9 @@ class TestQuotientGroup:
         assert group.order == 1
         assert group.invariant_factors == ()
         assert group.project((5, -3)) == ()
+        # the zero lattice over itself
+        zero = quotient_group([], [])
+        assert zero.invariant_factors == () and zero.project((0, 0)) == ()
 
     def test_infinite(self):
         with pytest.raises(InfiniteQuotientError):
@@ -308,6 +311,11 @@ class TestQuotientGroup:
         with pytest.raises(NotInLatticeError):
             # right length, outside the row span
             quotient_group([[1, 0]], [(0, 1)])
+        with pytest.raises(NotInLatticeError, match="length 3"):
+            quotient_group(identity(2), [(1, 0, 0), (0, 1, 0)])
+        with pytest.raises(NotInLatticeError):
+            # a nonzero vector, over the zero lattice
+            quotient_group([], [(1, 0)])
 
     @given(st.lists(st.lists(st.integers(-6, 6), min_size=2, max_size=2),
                     min_size=2, max_size=2))
@@ -414,6 +422,10 @@ class TestRank:
 
 
 class TestSpanCoordinates:
+    def test_dependent_vectors(self):
+        with pytest.raises(ValueError, match="linearly dependent"):
+            SpanSolver.of([(1, 2), (2, 4)])
+
     @given(span_problems())
     @example(([(1, 0)], (0, 1)))          # outside the span
     @example(([(2, 0), (0, 3)], (1, 1)))  # in the span, not integral

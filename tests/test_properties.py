@@ -226,12 +226,12 @@ class TestFullReport:
             assert report.witnesses == base.witnesses
 
     def test_broken_implication_raises_under_optimize(self):
-        # sec3 is not seminormal, so a test claiming normality breaks
-        # normal => seminormal
+        # sec3 is not Cohen-Macaulay, so a numerator scan claiming
+        # normality breaks normal => Cohen-Macaulay
         code = (
             "from monoalg import properties, validate\n"
             "from monoalg.errors import InternalError\n"
-            "properties.is_normal = lambda semigroup, dec=None: (True, None)\n"
+            "properties._lambda_verdict = lambda hits, dens: (True, None)\n"
             "try:\n"
             f"    properties.full_report(validate({SEC3_GENS!r}))\n"
             "except InternalError:\n"
