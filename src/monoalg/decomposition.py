@@ -128,9 +128,9 @@ def decompose(semigroup: AffineSemigroup) -> Decomposition:
 
     Raises :class:`NotSimplicialError` for non-simplicial cones, where the
     shifts would not be unique, and :class:`InternalError` when the search's
-    classes disagree with the quotient group: a label shared by two classes,
-    a class count other than the group order, or a class whose numerators
-    differ by a non-multiple of the denominators.
+    classes disagree with the quotient group: a class count other than the
+    group order, or a class whose numerators differ by a non-multiple of the
+    denominators.
     """
     frame = semigroup.frame()
     group = semigroup.quotient()
@@ -140,13 +140,12 @@ def decompose(semigroup: AffineSemigroup) -> Decomposition:
     weights = [common // p for p in dens] if semigroup.is_homogeneous else None
     columns = tuple(zip(*frame.elements))
     cosets = semigroup.module_generator_cosets()
-    by_label = dict(cosets)
-    if not len(cosets) == len(by_label) == group.order:
-        raise InternalError(f"module generators meet {len(by_label)} of "
-                            f"{group.order} cosets in {len(cosets)} classes")
+    if len(cosets) != group.order:
+        raise InternalError(f"module generators fall into {len(cosets)} "
+                            f"classes, the group has order {group.order}")
 
     summands = []
-    for label, members in sorted(by_label.items()):
+    for label, members in sorted(cosets):
         gamma, nums = zip(*members)
         if len(nums) == 1:
             mins, ideal, shift = nums[0], MonomialIdeal.unit(frame.dim), gamma[0]

@@ -3,7 +3,7 @@
 Ranks and coordinates all come from one fraction-free Gauss-Jordan routine,
 :func:`echelon`, over Z or mod a prime, whose row update the cone-membership
 simplex shares; a rational coordinate is an integer numerator over an integer
-denominator, and neither floating point nor ``Fraction`` is used.  One
+denominator; the package uses neither floating point nor ``Fraction``.  One
 Euclidean row step, :func:`_clear_below`, is the Hermite normal form's and
 both of the Smith normal form's: its row step, and its column step, run on
 the columns of the matrix stacked over the column transform.  Matrices are
@@ -285,34 +285,34 @@ def _lattice_coords(solver: SpanSolver | None, x: list[int] | Vec) -> tuple[int,
     return tuple(a // p for a, p in zip(nums, solver.denominators))
 
 
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(NamedTuple):
     """A finite quotient ``L / L'`` of integer lattices.
 
     ``invariant_factors`` is the ascending divisibility chain (factors 1 are
     dropped, so the tuple may be empty for the trivial group).  ``project``
-    is a total homomorphism from lattice elements to residue tuples modulo
-    those factors; it vanishes exactly on ``L'`` and its fibers are the
-    cosets, so the residue tuple is the canonical coset key.
+    is the homomorphism taking x to ``coords(x) . columns[k]`` modulo factor
+    k for each k, with ``solver`` giving ``coords`` (None when L = 0).  It
+    vanishes exactly on ``L'`` and its fibers are the cosets, so the residue
+    tuple is the canonical coset key.
     """
 
-    def __init__(self, solver: SpanSolver | None,
-                 invariant_factors: list[int], columns: list[Vec]):
-        # ``solver`` gives coordinates in the basis of L (None when L = 0);
-        # residue k is coordinates . columns[k] modulo invariant_factors[k]
-        self._solver = solver
-        self.invariant_factors: tuple[int, ...] = tuple(invariant_factors)
-        self._columns = tuple(columns)
-        self.order: int = prod(self.invariant_factors)
+    invariant_factors: tuple[int, ...]
+    columns: tuple[Vec, ...]
+    solver: SpanSolver | None
+
+    @property
+    def order(self) -> int:
+        return prod(self.invariant_factors)
 
     def coords(self, x: list[int] | Vec) -> tuple[int, ...]:
         """Integer coordinates of ``x`` in the ambient lattice basis."""
-        return _lattice_coords(self._solver, x)
+        return _lattice_coords(self.solver, x)
 
     def project(self, x: list[int] | Vec) -> tuple[int, ...]:
         """Canonical coset label of ``x``; constant on ``L'``-cosets."""
         c = self.coords(x)
         return tuple(_dot(c, col) % f
-                     for col, f in zip(self._columns, self.invariant_factors))
+                     for col, f in zip(self.columns, self.invariant_factors))
 
     def element_order(self, x: list[int] | Vec) -> int:
         """Order of the class of ``x`` in the quotient."""
@@ -344,9 +344,9 @@ def quotient_group(sup_basis: IntMatrix, sub_gens: list[Vec] | IntMatrix) -> Fin
     if 0 in diag:
         raise InfiniteQuotientError(
             "sublattice has smaller rank, the quotient is infinite")
-    keep = [j for j, f in enumerate(diag) if f > 1]
-    return FiniteAbelianGroup(solver, [diag[j] for j in keep],
-                              [tuple(row[j] for row in v) for j in keep])
+    kept = [(f, col) for f, col in zip(diag, zip(*v)) if f > 1]
+    return FiniteAbelianGroup(tuple(f for f, _ in kept),
+                              tuple(col for _, col in kept), solver)
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,12 @@ vkey-least of its kind, so witnesses are deterministic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add, ge, gt, sub
 from typing import NamedTuple
 
 from .decomposition import Decomposition, Summand, decompose
 from .errors import InternalError
-from .semigroup import AffineSemigroup, vkey
+from .semigroup import AffineSemigroup, Frame, vkey
 
 
 class PropertyReport(NamedTuple):
@@ -43,12 +42,12 @@ class PropertyReport(NamedTuple):
 PROPERTY_NAMES = PropertyReport._fields[:-1]
 
 
-def _lambda_verdict(hits: list[tuple], dens: tuple[int, ...]) -> tuple:
+def _lambda_verdict(hits: list[tuple], frame: Frame) -> tuple:
     # hits are (sum(x), x, numerators) triples, so the least is x's vkey-least
     if not hits:
         return True, None
     _, x, num = min(hits)
-    return False, {"element": x, "lambda": tuple(map(Fraction, num, dens))}
+    return False, {"element": x, "lambda": frame.lambda_text(num)}
 
 
 def _ideal_verdict(hits: list[Summand]) -> tuple:
@@ -109,12 +108,12 @@ def full_report(semigroup: AffineSemigroup,
           if any(map(ge, num, dens))]
     above = [hit for hit in at if any(map(gt, hit[2], dens))]
     nonunit = [s for s in dec.summands if not s.ideal.is_unit]
-    normal, cm = _lambda_verdict(at, dens), _ideal_verdict(nonunit)
+    normal, cm = _lambda_verdict(at, dec.frame), _ideal_verdict(nonunit)
     # normality is read off the numerators and Cohen-Macaulayness off the
     # ideals; Hochster's theorem ties the two readings
     if normal[0] and not cm[0]:
         raise InternalError("normal => Cohen-Macaulay fails")
-    holds, witnesses = zip(_lambda_verdict(above, dens), normal, cm,
+    holds, witnesses = zip(_lambda_verdict(above, dec.frame), normal, cm,
                            _buchsbaum(semigroup, dec, nonunit),
                            _gorenstein(dec, cm))
     return PropertyReport(*holds, dict(zip(PROPERTY_NAMES, witnesses)))

@@ -106,6 +106,15 @@ class Frame(NamedTuple):
                 f"{tuple(x)} is outside the rational span of the frame")
         return nums
 
+    def lambda_text(self, numerators: tuple[int, ...]) -> tuple[str, ...]:
+        """The frame coordinates ``numerators[k] / denominators[k]`` as
+        reduced ``a/b`` strings, ``a`` alone when the denominator is 1."""
+        out = []
+        for a, p in zip(numerators, self.denominators):
+            g = gcd(a, p)
+            out.append(f"{a // g}" if p == g else f"{a // g}/{p // g}")
+        return tuple(out)
+
 
 class DegreeFunctional(NamedTuple):
     """The functional ``numerators / denominator``, 1 on every generator.

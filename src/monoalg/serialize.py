@@ -19,7 +19,6 @@ diffing.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .decomposition import Decomposition, MonomialIdeal, Summand
@@ -32,8 +31,6 @@ def jsonable(value):
     """Recursively convert package values into JSON-serializable data.
     Only plain lists and tuples become lists: any other record is left as
     it is, so that :func:`canonical_json` rejects it."""
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, MonomialIdeal):
         return ideal_to_dict(value)
     if type(value) in (list, tuple):
@@ -64,15 +61,10 @@ def summand_to_dict(s: Summand, dec: Decomposition, ideal: dict,
     if s.shift_degree is not None:
         out["shift_degree"] = s.shift_degree
     if verbose:
-        out["shift_lambda"] = _lambda(dec, s.shift_numerators)
-        out["gamma_lambda"] = [_lambda(dec, num) for num in s.gamma_numerators]
+        text = dec.frame.lambda_text
+        out["shift_lambda"] = list(text(s.shift_numerators))
+        out["gamma_lambda"] = [list(text(num)) for num in s.gamma_numerators]
     return out
-
-
-def _lambda(dec: Decomposition, numerators) -> list[str]:
-    """Frame coordinates, as strings, from their numerators."""
-    return [str(Fraction(a, p))
-            for a, p in zip(numerators, dec.frame.denominators)]
 
 
 def decomposition_to_dict(dec: Decomposition, verbose: bool = False) -> dict:

@@ -679,7 +679,8 @@ def reference_full_report(semigroup, dec):
         if not bad:
             return True, None
         x, num = min(bad, key=lambda item: _ref_vkey(item[0]))
-        return False, {"element": x, "lambda": tuple(map(Fraction, num, dens))}
+        return False, {"element": x,
+                       "lambda": tuple(map(str, map(Fraction, num, dens)))}
 
     def first_bad_ideal(bad):
         hits = [s for s in dec.summands if bad(s.ideal)]

@@ -290,6 +290,9 @@ class TestQuotientGroup:
                                [(4, 0, 0), (0, 4, 0), (0, 0, 4)])
         assert group.order == 8
         assert group.invariant_factors == (2, 4)
+        assert repr(group) == "FiniteAbelianGroup(Z/2 x Z/4)"
+        with pytest.raises(AttributeError):
+            group.order = 1
 
     def test_trivial(self):
         sup = hermite_normal_form([(1, 0), (0, 1)])
@@ -297,6 +300,7 @@ class TestQuotientGroup:
         assert group.order == 1
         assert group.invariant_factors == ()
         assert group.project((5, -3)) == ()
+        assert repr(group) == "FiniteAbelianGroup(trivial)"
         # the zero lattice over itself
         zero = quotient_group([], [])
         assert zero.invariant_factors == () and zero.project((0, 0)) == ()

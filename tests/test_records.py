@@ -27,7 +27,7 @@ def _records():
     return [parse_input("1 0\n0 1\n"), s.ideal, s, dec,
             betti_ideal(s.ideal), analyze(B, 0, dec), dec.frame.solver,
             full_report(B, dec), dec.frame, B.degree_functional(),
-            SweepConfig(3, 5, 4, 1, 0)]
+            SweepConfig(3, 5, 4, 1, 0), B.quotient()]
 
 
 RECORDS = _records()
@@ -37,7 +37,7 @@ def test_every_record_is_listed():
     assert {type(r).__name__ for r in RECORDS} == {
         "InputDocument", "MonomialIdeal", "Summand", "Decomposition",
         "BettiTable", "RegularityReport", "SpanSolver", "PropertyReport",
-        "Frame", "DegreeFunctional", "SweepConfig"}
+        "Frame", "DegreeFunctional", "SweepConfig", "FiniteAbelianGroup"}
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
@@ -58,14 +58,23 @@ def test_memo_is_not_part_of_equality():
     assert hash(first) == hash(second)
 
 
-def test_cli_import_loads_no_dataclasses():
-    # dataclasses also loads inspect; argparse and the package load no
-    # pathlib.  -S: the environment's site hooks may import these modules
-    # themselves
+def _loaded_by_cli_import(names: set[str]) -> str:
+    # -S: the environment's site hooks may import these modules themselves
     src = Path(monoalg.__file__).resolve().parents[1]
-    code = ("import sys, monoalg.cli; print(sorted("
-            "{'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))")
+    code = f"import sys, monoalg.cli; print(sorted({names!r} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, check=True)
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_cli_import_loads_no_dataclasses():
+    # dataclasses also loads inspect; argparse and the package load no
+    # pathlib
+    assert _loaded_by_cli_import({"dataclasses", "inspect", "pathlib"}) == "[]\n"
+
+
+def test_cli_import_loads_no_fractions():
+    # frame coordinates are printed from integers; fractions would also
+    # load decimal and numbers
+    assert _loaded_by_cli_import({"fractions", "decimal", "numbers"}) == "[]\n"

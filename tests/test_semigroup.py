@@ -182,6 +182,7 @@ class TestFrame:
         lam = frame_lambda(frame, (6, 0, 2))
         assert lam == (Fraction(3, 2), Fraction(0), Fraction(1, 2))
         assert lam == solve_fractions(frame.elements, (6, 0, 2))
+        assert frame.lambda_text((6, 0, 2)) == ("3/2", "0", "1/2")
 
     def test_lambda_unit(self, sec3):
         frame = sec3.frame()
@@ -192,6 +193,14 @@ class TestFrame:
         assert frame_lambda(frame, (5,)) == (Fraction(5, 3),)
         assert frame_lambda(frame, (5,)) == solve_fractions(frame.elements,
                                                             (5,))
+
+    def test_lambda_text_is_fraction_text(self):
+        # the frame (p,) has denominator p; numerators may be 0 or negative
+        for p in range(1, 7):
+            frame = Frame.from_elements(((p,),))
+            assert frame.denominators == (p,)
+            for a in range(-13, 14):
+                assert frame.lambda_text((a,)) == (str(Fraction(a, p)),)
 
     def test_outside_span(self):
         frame = Frame.from_elements(((1, 0),))
