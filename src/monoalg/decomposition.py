@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import lcm
-from operator import floordiv, mul, sub
+from operator import floordiv, index, mul, sub
 from typing import NamedTuple
 
 from .errors import InternalError
@@ -34,7 +34,10 @@ class MonomialIdeal(NamedTuple):
 
     @staticmethod
     def from_gens(num_vars: int, gens) -> "MonomialIdeal":
-        rows = sorted({tuple(int(e) for e in g) for g in gens}, key=vkey)
+        try:  # operator.index rejects floats and strings, as validate does
+            rows = sorted({tuple(map(index, g)) for g in gens}, key=vkey)
+        except TypeError as e:
+            raise ValueError(f"bad exponent vector: {e}") from None
         if not rows:
             raise ValueError("a monomial ideal needs at least one generator")
         for g in rows:

@@ -19,7 +19,7 @@ characteristic outside its fields (a copy by ``_replace`` starts empty), so
 :func:`analyze` and :func:`hilbert_verify` share one computation, and
 :func:`hilbert_verify` checks the tables of every characteristic computed
 for the decomposition, char 0 if none, against an enumeration of the
-semigroup.
+semigroup, comparing Hilbert-series numerators.
 
 The upper Koszul complex at ``b`` depends only on the generators dividing
 ``x^b``, so the summand ideals of one decomposition share most of their
@@ -33,7 +33,6 @@ each call, and nothing is cached at module level.
 from __future__ import annotations
 
 from functools import cache, reduce
-from math import comb
 from operator import le, lt, mul, or_
 from typing import NamedTuple
 
@@ -214,15 +213,6 @@ def betti_ideal(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     return _betti_table(ideal, char, {})
 
 
-def hilbert_function(betti: dict[tuple[int, int], int], d: int,
-                     degree: int) -> int:
-    """Dimension in degree ``degree`` of a graded module over K[x_1..x_d]
-    with graded Betti numbers ``betti``: the series numerator is the
-    alternating sum ``sum (-1)^i beta_{i,j} t^j``, over ``(1 - t)^d``."""
-    return sum((-r if i % 2 else r) * comb(degree - j + d - 1, d - 1)
-               for (i, j), r in betti.items() if j <= degree)
-
-
 def _summand_tables(dec: Decomposition,
                     char: int) -> dict[MonomialIdeal, BettiTable]:
     """The Betti table of each distinct summand ideal, in order of first
@@ -293,34 +283,40 @@ def hilbert_verify(semigroup: AffineSemigroup, dec: Decomposition,
     Returns False, before any enumeration, when ``functional`` does not
     give every generator degree 1, since only then are the sums of exactly t
     generators the degree-t elements, or when a summand's ``shift_degree``
-    differs from the degree ``functional`` gives its shift.  Otherwise
-    counts semigroup elements of each degree up to ``t_max`` by direct
-    enumeration (:func:`_degree_counts`, one int bitset per degree layer
-    where the box is small enough) and compares with the
-    :func:`hilbert_function` of the direct sum, read off the summand
-    ideals' Betti tables, each shifted by its ``shift_degree``.  The tables
-    checked are those of every characteristic computed for ``dec``, char 0
-    if none.  The enumeration shares no code path with the decomposition or
-    the homology.  A negative ``t_max`` raises :class:`ValueError`.
+    is negative or not the integer degree ``functional`` gives its shift.
+    Otherwise compares, up to ``t^t_max``, the counts of semigroup elements
+    by degree (:func:`_degree_counts`, a direct enumeration) times
+    ``(1 - t)^d``, ``d`` the frame's dimension, with the alternating sum of
+    the summand ideals' Betti tables, each shifted by its ``shift_degree``:
+    the Hilbert-series numerator of the direct sum.  ``(1 - t)^d`` is a unit
+    on truncated series, so they agree exactly when the Hilbert functions
+    do up to ``t_max``.  The tables checked are those of every characteristic
+    computed for ``dec``, char 0 if none.  The enumeration shares no code
+    path with the decomposition or the homology.  A negative ``t_max``
+    raises :class:`ValueError`.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
     if functional is None:
         raise NotHomogeneousError("the semigroup admits no degree functional")
-    if any(sum(map(mul, functional.numerators, g)) != functional.denominator
+    numerators, denominator = functional
+    if any(sum(map(mul, numerators, g)) != denominator
            for g in semigroup.generators) or any(
-            s.shift_degree != functional.degree(s.shift) for s in dec.summands):
+            divmod(sum(map(mul, numerators, s.shift)), denominator)
+            != (s.shift_degree, 0) or s.shift_degree < 0
+            for s in dec.summands):
         return False
-    left = _degree_counts(semigroup.generators, t_max, functional)
+    h = _degree_counts(semigroup.generators, t_max, functional)
+    for _ in range(dec.frame.dim):
+        h = h[:1] + [b - a for a, b in zip(h, h[1:])]
     for char in list(dec.tables) or [0]:
-        betti: dict[tuple[int, int], int] = {}  # of the direct sum
+        numerator = [0] * (t_max + 1)
         tables = _summand_tables(dec, char)
         for s in dec.summands:
             for (i, j), r in tables[s.ideal].entries.items():
-                key = (i, j + s.shift_degree)
-                betti[key] = betti.get(key, 0) + r
-        if any(left[t] != hilbert_function(betti, dec.frame.dim, t)
-               for t in range(t_max + 1)):
+                if (k := j + s.shift_degree) <= t_max:
+                    numerator[k] += -r if i % 2 else r
+        if numerator != h:
             return False
     return True
 

@@ -21,6 +21,9 @@ ranks from :func:`brute_rank`, over its own copy of the package's earlier
 frontier lcm lattice (:func:`reference_lcm_lattice`).
 :func:`reference_module_search` is the package's earlier tuple-heap
 module-generator search, run on the package's frame and quotient group.
+:func:`reference_hilbert_verify` is the package's earlier ``--verify``
+comparison, degree by degree with :func:`reference_hilbert_function`, on
+the Betti tables the package memoized for a decomposition.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import heapq
 import operator
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from monoalg.errors import InternalError
 
@@ -479,6 +482,36 @@ def degree_counts_tuples(gens, t_max):
                  for x in layer for g in gens}
         counts.append(len(layer))
     return counts
+
+
+def reference_hilbert_function(betti: dict[tuple[int, int], int], d: int,
+                               degree: int) -> int:
+    """Dimension in degree ``degree`` of a graded module over K[x_1..x_d]
+    with graded Betti numbers ``betti``: the series numerator is the
+    alternating sum ``sum (-1)^i beta_{i,j} t^j``, over ``(1 - t)^d``."""
+    return sum((-r if i % 2 else r) * comb(degree - j + d - 1, d - 1)
+               for (i, j), r in betti.items() if j <= degree)
+
+
+def reference_hilbert_verify(counts, dec, t_max):
+    """The package's earlier ``hilbert_verify`` comparison, degree by
+    degree: ``counts[t]`` (the number of semigroup elements of degree t,
+    say from :func:`degree_counts_tuples`) against
+    :func:`reference_hilbert_function` of the direct sum, whose Betti table
+    is keyed by ``(i, j + shift_degree)``, for every t <= ``t_max`` and the
+    summand tables of every characteristic memoized in ``dec.tables``."""
+    if not dec.tables:
+        raise ValueError("no Betti tables are memoized for the decomposition")
+    for tables in dec.tables.values():
+        betti: dict[tuple[int, int], int] = {}
+        for s in dec.summands:
+            for (i, j), r in tables[s.ideal].entries.items():
+                key = (i, j + s.shift_degree)
+                betti[key] = betti.get(key, 0) + r
+        if any(counts[t] != reference_hilbert_function(betti, dec.frame.dim, t)
+               for t in range(t_max + 1)):
+            return False
+    return True
 
 
 def reference_smith_normal_form(mat):

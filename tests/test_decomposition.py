@@ -24,7 +24,6 @@ from monoalg import (
 from monoalg import homology
 from monoalg.cli import main
 from monoalg.decomposition import Decomposition
-from monoalg.homology import hilbert_function
 from monoalg.serialize import canonical_json, decomposition_to_dict
 from monoalg.errors import (
     InternalError,
@@ -33,10 +32,12 @@ from monoalg.errors import (
 )
 from monoalg.semigroup import DegreeFunctional
 from monoalg.sweep import random_simplicial_instance
-from conftest import NONSIMPLICIAL_GENS, SEC3_GENS
+from conftest import NONSIMPLICIAL_GENS, SEC3_GENS, SKEW_GENS
 from oracles import (
     degree_counts_tuples,
     monomial_count_in_degree,
+    reference_hilbert_function,
+    reference_hilbert_verify,
     solve_fractions,
 )
 
@@ -75,9 +76,10 @@ class TestMonomialIdeal:
         assert MonomialIdeal.from_gens(2, [(1, 0), (0, 1)]).is_maximal
 
     @pytest.mark.parametrize("gens", [[], [(1, 0, 0)], [(1, 0), (2,)],
-                                      [(1, -1)]])
+                                      [(1, -1)], [(1.5, 0)], [("3", 0)]])
     def test_from_gens_rejects(self, gens):
-        # no generator, a vector of the wrong length, a negative entry
+        # no generator, a vector of the wrong length, a negative entry, an
+        # entry that is not an integer
         with pytest.raises(ValueError):
             MonomialIdeal.from_gens(2, gens)
 
@@ -99,7 +101,7 @@ class TestMonomialIdeal:
         ideal = MonomialIdeal.from_gens(n, gens)
         table = betti_ideal(ideal, char)
         for total in range(max(map(sum, ideal.gens)) + 3):
-            assert hilbert_function(table.entries, n, total) == \
+            assert reference_hilbert_function(table.entries, n, total) == \
                 monomial_count_in_degree(ideal.gens, n, total)
 
     def test_display(self):
@@ -290,6 +292,62 @@ class TestHilbertVerify:
             shift_degree=dec.summands[-1].shift_degree + 1)
         broken = dec._replace(summands=dec.summands[:-1] + (bad,))
         assert not hilbert_verify(sec3, broken, sec3.degree_functional(), 6)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda s: s._replace(shift=(s.shift[0] + 1,) + s.shift[1:]),
+        lambda s: s._replace(shift=tuple(-4 * e for e in s.shift),
+                             shift_degree=-4 * s.shift_degree),
+        lambda s: s._replace(shift_degree=None),
+    ], ids=["non_integer_degree", "negative_degree", "no_degree"])
+    def test_bad_shift_fails_without_raising(self, sec3, corrupt):
+        # the last summand's shift (3, 2, 3) of degree 2 made (4, 2, 3), of
+        # degree 9/4; or (-12, -8, -12) of degree -8, which would index
+        # before the start of a t_max-6 numerator; or its degree None
+        dec = decompose(sec3)
+        assert dec.summands[-1].shift == (3, 2, 3)
+        bad = corrupt(dec.summands[-1])
+        broken = dec._replace(summands=dec.summands[:-1] + (bad,))
+        assert not hilbert_verify(sec3, broken, sec3.degree_functional(), 6)
+
+    def test_verdict_matches_the_per_degree_reference(self):
+        # numerators against the earlier Hilbert function comparison, for
+        # t_max 0..8, as computed and with one Betti number of every
+        # nonunit ideal bumped: the k-th of its sorted table entries
+        rng = random.Random(23)
+        instances = [validate(SEC3_GENS), validate(SKEW_GENS)]
+        for shape in [(3, 8, 5), (4, 6, 6), (5, 2, 5), (5, 3, 5), (3, 5, 3)]:
+            drawn = [random_simplicial_instance(rng, *shape)
+                     for _ in range(6)]
+            instances += [B for B in drawn if B is not None][:4]
+        real = homology._betti_table
+        seen = set()
+        cases = 0
+        for B in instances:
+            dec = decompose(B)
+            counts = degree_counts_tuples(B.generators, 8)
+            for k in [None, *range(6)]:
+                def bumped(ideal, char, memo, k=k):
+                    table = real(ideal, char, memo)
+                    if k is None or ideal.is_unit:
+                        return table
+                    entries = dict(table.entries)
+                    entries[sorted(entries)[k % len(entries)]] += 1
+                    return BettiTable(entries)
+
+                fresh = dec._replace()
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(homology, "_betti_table", bumped)
+                    for t_max in range(9):
+                        ok = hilbert_verify(B, fresh, B.degree_functional(),
+                                            t_max)
+                        assert ok is reference_hilbert_verify(counts, fresh,
+                                                              t_max)
+                        seen.add((k is None, ok))
+                        cases += 1
+        # every unbumped case passes, and bumps both fail and (above
+        # t_max) pass
+        assert seen == {(True, True), (False, False), (False, True)}
+        assert cases == 9 * 7 * (2 + 4 * 5)
 
     def test_corrupted_betti_table_fails(self, sec3, monkeypatch):
         corrupt_maximal_ideal_table(monkeypatch)
