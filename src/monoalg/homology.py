@@ -8,9 +8,12 @@ homological index ``i``.  Only multidegrees in the lcm lattice of the
 generators, built one generator at a time, can carry homology, so the
 computation is finite; a complex with one maximal facet needs no faces.
 
-Homology ranks are boundary-matrix ranks from the integer elimination kernel
-:func:`.intlinalg.rank`: fraction-free over Z for characteristic zero, mod p
-otherwise.
+A set of variables is an int bitmask throughout, bit ``k`` for ``x_{k+1}``:
+the faces are found by walking the submasks of ``b``'s support, a face's
+dimension is its bit count less one, and its boundary drops its set bits
+lowest first with alternating sign.  Homology ranks are boundary-matrix
+ranks from the integer elimination kernel :func:`.intlinalg.rank`:
+fraction-free over Z for characteristic zero, mod p otherwise.
 
 The alternating sum of a Betti table, an Euler characteristic and so the same
 in every characteristic, is the numerator of the ideal's Hilbert series.
@@ -32,7 +35,7 @@ each call, and nothing is cached at module level.
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import lru_cache, reduce
 from operator import le, lt, mul, or_
 from typing import NamedTuple
 
@@ -73,8 +76,10 @@ class RegularityReport(NamedTuple):
     depth: int
 
 
-@cache  # invalid values raise, so only valid ones are stored
+@lru_cache(maxsize=None, typed=True)  # stores valid values; 3.0 is not 3
 def check_characteristic(char: int) -> None:
+    if not isinstance(char, int):
+        raise InvalidCharacteristicError(f"{char!r} is not an integer")
     if char == 0:
         return
     if char < 2:
@@ -103,34 +108,28 @@ def _lcm_lattice(ideal: MonomialIdeal) -> list[Vec]:
     return sorted(lattice, key=vkey)
 
 
-def _reduced_homology_dims(faces: list[tuple[int, ...]], char: int) -> dict[int, int]:
+def _reduced_homology_dims(faces: list[int], char: int) -> dict[int, int]:
     """Reduced homology ranks of a simplicial complex containing the empty
-    face, keyed by dimension (-1 for the empty face)."""
-    by_dim: dict[int, list[tuple[int, ...]]] = {}
+    face, its faces given as vertex bitmasks, keyed by dimension (-1 for
+    the empty face)."""
+    by_dim: dict[int, list[int]] = {}
     for f in faces:
-        by_dim.setdefault(len(f) - 1, []).append(f)
-    for fs in by_dim.values():
-        fs.sort()
-    top = max(by_dim)
-    index = {dim: {f: i for i, f in enumerate(fs)}
-             for dim, fs in by_dim.items()}
-
-    def boundary_rank(dim: int) -> int:
-        # rank of the map from dim-faces to (dim-1)-faces
-        if dim not in by_dim or (dim - 1) not in by_dim:
-            return 0
-        cols = by_dim[dim]
-        rows = by_dim[dim - 1]
-        mat = [[0] * len(cols) for _ in rows]
-        for j, face in enumerate(cols):
-            for drop in range(len(face)):
-                sub = face[:drop] + face[drop + 1:]
-                mat[index[dim - 1][sub]][j] = -1 if drop % 2 else 1
-        return rank(mat, char)
-
-    ranks = {dim: boundary_rank(dim) for dim in range(0, top + 2)}
+        by_dim.setdefault(f.bit_count() - 1, []).append(f)
+    ranks = {}  # rank of the boundary map out of each dimension's faces
+    for dim, cols in by_dim.items():
+        if rows := by_dim.get(dim - 1):
+            row = {f: i for i, f in enumerate(rows)}
+            mat = [[0] * len(cols) for _ in rows]
+            for j, face in enumerate(cols):
+                rest, sign = face, 1
+                while rest:  # drop the set bits lowest first
+                    low = rest & -rest
+                    mat[row[face ^ low]][j] = sign
+                    rest ^= low
+                    sign = -sign
+            ranks[dim] = rank(mat, char)
     dims = {}
-    for dim in range(-1, top + 1):
+    for dim in range(-1, max(by_dim) + 1):
         h = len(by_dim.get(dim, ())) - ranks.get(dim, 0) - ranks.get(dim + 1, 0)
         if h < 0:
             raise InternalError(f"homology rank {h} in dimension {dim}")
@@ -139,16 +138,18 @@ def _reduced_homology_dims(faces: list[tuple[int, ...]], char: int) -> dict[int,
     return dims
 
 
-def _upper_koszul_faces(ideal: MonomialIdeal, b: Vec) -> list[tuple[int, ...]]:
-    n = range(ideal.num_vars)
-    support = [k for k in n if b[k] >= 1]
+def _upper_koszul_faces(ideal: MonomialIdeal, b: Vec) -> list[int]:
+    """The faces of K^b as vertex bitmasks: each subset s of b's support
+    with x^(b - s) in the ideal, walked as the submasks of the support."""
+    support = sum(1 << k for k, e in enumerate(b) if e)
     faces = []
-    for mask in range(1 << len(support)):
-        sigma = tuple(support[i] for i in range(len(support)) if mask >> i & 1)
-        reduced = tuple(b[k] - (1 if k in sigma else 0) for k in n)
-        if ideal.contains(reduced):
-            faces.append(sigma)
-    return faces
+    s = support
+    while True:
+        if ideal.contains(tuple(e - (s >> k & 1) for k, e in enumerate(b))):
+            faces.append(s)
+        if not s:
+            return faces
+        s = (s - 1) & support
 
 
 # reduced homology ranks by dimension, keyed by the facet masks of an upper
@@ -283,28 +284,28 @@ def hilbert_verify(semigroup: AffineSemigroup, dec: Decomposition,
     Returns False, before any enumeration, when ``functional`` does not
     give every generator degree 1, since only then are the sums of exactly t
     generators the degree-t elements, or when a summand's ``shift_degree``
-    is negative or not the integer degree ``functional`` gives its shift.
-    Otherwise compares, up to ``t^t_max``, the counts of semigroup elements
-    by degree (:func:`_degree_counts`, a direct enumeration) times
-    ``(1 - t)^d``, ``d`` the frame's dimension, with the alternating sum of
-    the summand ideals' Betti tables, each shifted by its ``shift_degree``:
-    the Hilbert-series numerator of the direct sum.  ``(1 - t)^d`` is a unit
-    on truncated series, so they agree exactly when the Hilbert functions
-    do up to ``t_max``.  The tables checked are those of every characteristic
-    computed for ``dec``, char 0 if none.  The enumeration shares no code
-    path with the decomposition or the homology.  A negative ``t_max``
-    raises :class:`ValueError`.
+    is not an ``int``, is negative or is not the degree ``functional`` gives
+    its shift.  Otherwise compares, up to ``t^t_max``, the counts of
+    semigroup elements by degree (:func:`_degree_counts`, a direct
+    enumeration) times ``(1 - t)^d``, ``d`` the frame's dimension, with the
+    alternating sum of the summand ideals' Betti tables, each shifted by its
+    ``shift_degree``: the Hilbert-series numerator of the direct sum.
+    ``(1 - t)^d`` is a unit on truncated series, so they agree exactly when
+    the Hilbert functions do up to ``t_max``.  The tables checked are those
+    of every characteristic computed for ``dec``, char 0 if none.  The
+    enumeration shares no code path with the decomposition or the homology.
+    A ``t_max`` that is not a nonnegative ``int`` raises :class:`ValueError`.
     """
-    if t_max < 0:
-        raise ValueError(f"t_max must be nonnegative, got {t_max}")
+    if not isinstance(t_max, int) or t_max < 0:
+        raise ValueError(f"t_max must be a nonnegative int, got {t_max!r}")
     if functional is None:
         raise NotHomogeneousError("the semigroup admits no degree functional")
     numerators, denominator = functional
     if any(sum(map(mul, numerators, g)) != denominator
            for g in semigroup.generators) or any(
-            divmod(sum(map(mul, numerators, s.shift)), denominator)
-            != (s.shift_degree, 0) or s.shift_degree < 0
-            for s in dec.summands):
+            not isinstance(s.shift_degree, int) or s.shift_degree < 0
+            or divmod(sum(map(mul, numerators, s.shift)), denominator)
+            != (s.shift_degree, 0) for s in dec.summands):
         return False
     h = _degree_counts(semigroup.generators, t_max, functional)
     for _ in range(dec.frame.dim):

@@ -298,11 +298,14 @@ class TestHilbertVerify:
         lambda s: s._replace(shift=tuple(-4 * e for e in s.shift),
                              shift_degree=-4 * s.shift_degree),
         lambda s: s._replace(shift_degree=None),
-    ], ids=["non_integer_degree", "negative_degree", "no_degree"])
+        lambda s: s._replace(shift_degree=float(s.shift_degree)),
+    ], ids=["non_integer_degree", "negative_degree", "no_degree",
+            "float_degree"])
     def test_bad_shift_fails_without_raising(self, sec3, corrupt):
         # the last summand's shift (3, 2, 3) of degree 2 made (4, 2, 3), of
         # degree 9/4; or (-12, -8, -12) of degree -8, which would index
-        # before the start of a t_max-6 numerator; or its degree None
+        # before the start of a t_max-6 numerator; or its degree None; or
+        # its degree 2.0, equal to the true degree but no list index
         dec = decompose(sec3)
         assert dec.summands[-1].shift == (3, 2, 3)
         bad = corrupt(dec.summands[-1])
@@ -425,10 +428,12 @@ class TestHilbertVerify:
             hilbert_verify(B, decompose(B), B.degree_functional(), 4)
 
     def test_negative_t_max_raises_before_any_table(self):
+        # and so does a float, before it can reach range()
         B = validate([(1, 0), (0, 1)])
         dec = decompose(B)
-        with pytest.raises(ValueError, match="t_max"):
-            hilbert_verify(B, dec, B.degree_functional(), -3)
+        for t_max in (-3, 8.0):
+            with pytest.raises(ValueError, match="t_max"):
+                hilbert_verify(B, dec, B.degree_functional(), t_max)
         assert dec.tables == {}
 
     @pytest.mark.parametrize("gens, t_max", [

@@ -1,5 +1,7 @@
 import itertools
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +25,11 @@ from monoalg.errors import (
 )
 from monoalg.homology import check_characteristic
 from monoalg.intlinalg import rank
-from monoalg.sweep import random_simplicial_instance
+from monoalg.sweep import SweepConfig, random_simplicial_instance, run_sweep
 from conftest import NONSIMPLICIAL_GENS, SEC3_GENS
 from oracles import (
+    _reduced_homology_dims as reference_homology_dims,
+    _upper_koszul_faces as reference_koszul_faces,
     reference_betti_table,
     reference_lcm_lattice,
     taylor_euler_matches,
@@ -51,12 +55,19 @@ class TestMatrixRank:
         assert rank([[2]], 2) == 0
 
     def test_characteristic_validation(self):
-        check_characteristic(0)
-        check_characteristic(2)
-        check_characteristic(101)
-        for bad in (1, 4, 6, -3, 9):
+        for char in (0, 2, 3, 101, 32003):
+            check_characteristic(char)
+        # a float equal to a checked value is not answered from the cache,
+        # and every entry point rejects a float before any arithmetic
+        for bad in (1, 4, 6, -3, 9, 2.5, 3.0, 0.0, "3", None):
             with pytest.raises(InvalidCharacteristicError):
                 check_characteristic(bad)
+        ideal = MonomialIdeal.from_gens(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        for call in (lambda: betti_ideal(ideal, 3.0),
+                     lambda: analyze(validate(SEC3_GENS), 32003.0),
+                     lambda: run_sweep(SweepConfig(3, 5, 4, 2, 0, 2.0))):
+            with pytest.raises(InvalidCharacteristicError, match="integer"):
+                call()
 
     def test_characteristic_limit(self):
         check_characteristic(2**31 - 1)  # prime, largest accepted
@@ -270,8 +281,7 @@ class TestAgainstReference:
         assert shared > 50  # many decompositions share one memo
         assert len(built) > 100
         for fs in built:
-            top = set().union(*map(set, fs))
-            assert tuple(sorted(top)) not in fs  # no single maximal facet
+            assert reduce(or_, fs) not in fs  # no single maximal facet
 
     @pytest.mark.parametrize("char", [0, 32003])
     def test_standalone_tables_equal_the_reference(self, char):
@@ -346,3 +356,68 @@ def test_lcm_lattice_equals_the_reference(gens):
     # the generator-at-a-time closure against the frontier closure
     ideal = MonomialIdeal.from_gens(len(gens[0]), gens)
     assert homology._lcm_lattice(ideal) == reference_lcm_lattice(ideal)
+
+
+def as_tuple(mask):
+    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+
+def closure(facets):
+    """Every submask of every facet, the empty face included."""
+    faces = {0}
+    for f in facets:
+        s = f
+        while s:
+            faces.add(s)
+            s = (s - 1) & f
+    return faces
+
+
+class TestBitmaskFaces:
+    """The package's bitmask faces against the sorted-tuple copies of the
+    earlier helpers in ``tests/oracles.py``."""
+
+    # the 6-vertex real projective plane: every edge on two triangles
+    RP2 = [0b000111, 0b001101, 0b011001, 0b110001, 0b100011,
+           0b010110, 0b101100, 0b011010, 0b110100, 0b101010]
+
+    @pytest.mark.parametrize("facets, char, dims", [
+        ([0b011, 0b101, 0b110], 0, {1: 1}),
+        ([0b011, 0b101, 0b110], 2, {1: 1}),
+        ([0b001, 0b010], 0, {0: 1}),
+        ([0b111], 0, {}),
+        ([], 0, {-1: 1}),
+        (RP2, 0, {}),
+        (RP2, 3, {}),
+        (RP2, 2, {1: 1, 2: 1}),
+    ], ids=["hollow_triangle", "hollow_triangle_char2", "two_points",
+            "simplex", "empty_face", "rp2_char0", "rp2_char3", "rp2_char2"])
+    def test_examples(self, facets, char, dims):
+        assert homology._reduced_homology_dims(list(closure(facets)),
+                                               char) == dims
+
+    def test_rp2_is_a_closed_surface(self):
+        edges = [e for e in closure(self.RP2) if e.bit_count() == 2]
+        assert len(edges) == 15
+        assert all(sum(f & e == e for f in self.RP2) == 2 for e in edges)
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+               st.integers(0, (1 << n) - 1), max_size=8)),
+           st.sampled_from([0, 2, 3, 32003]), st.randoms())
+    @settings(max_examples=300, deadline=None)
+    def test_homology_equals_the_reference(self, facets, char, rnd):
+        faces = list(closure(facets))
+        rnd.shuffle(faces)
+        assert homology._reduced_homology_dims(faces, char) == \
+            reference_homology_dims([as_tuple(f) for f in faces], char)
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=6)))
+    @settings(max_examples=150, deadline=None)
+    def test_faces_equal_the_reference(self, gens):
+        ideal = MonomialIdeal.from_gens(len(gens[0]), gens)
+        for b in homology._lcm_lattice(ideal):
+            faces = homology._upper_koszul_faces(ideal, b)
+            assert len(set(faces)) == len(faces)
+            assert sorted(map(as_tuple, faces)) == sorted(
+                reference_koszul_faces(ideal, b))
