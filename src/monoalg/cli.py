@@ -169,8 +169,9 @@ def _build_parser() -> _Parser:
                        help="emit canonical JSON instead of text")
         if "regularity" in sections:
             add_char(p)
-        p.add_argument("--verbose", action="store_true",
-                       help="include frame coordinates in the output")
+        if "decomposition" in sections:
+            p.add_argument("--verbose", action="store_true",
+                           help="include frame coordinates in the output")
         p.add_argument("--verify", action="store_true",
                        help="also run the independent degree-count check")
         p.add_argument("--tmax", type=int, default=8,

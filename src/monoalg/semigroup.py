@@ -167,10 +167,11 @@ class AffineSemigroup:
     def _extreme_ray_indices(self) -> tuple[int, ...]:
         # A direction is extreme iff its representative g is no nonnegative
         # combination of the other directions' generators.  These lie in N^m,
-        # so only those with support inside supp(g) can take part.  When that
-        # support has two or more coordinates and each of their axes e_c is
-        # a generator direction, g = sum(g_c e_c) is a nonnegative
-        # combination of those axis generators: not extreme, no simplex.
+        # so only those with support inside supp(g) can take part.  For one
+        # coordinate c these are multiples of e_c, in g's direction: extreme.
+        # For two or more, each of whose axes e_c is a generator direction,
+        # g = sum(g_c e_c) is a nonnegative combination of those axis
+        # generators: not extreme.  Neither case needs an LP.
         directions = [primitive(g) for g in self.generators]
         axes = {d.index(1) for d in directions if sum(d) == 1}
         reps = []
@@ -178,7 +179,10 @@ class AffineSemigroup:
             rep = min((i for i, d in enumerate(directions) if d == direction),
                       key=lambda i: vkey(self.generators[i]))
             support = [c for c, e in enumerate(self.generators[rep]) if e]
-            if len(support) > 1 and axes.issuperset(support):
+            if len(support) == 1:
+                reps.append(rep)
+                continue
+            if axes.issuperset(support):
                 continue
             others = [tuple(h[c] for c in support)
                       for h, d in zip(self.generators, directions)

@@ -19,7 +19,6 @@ from .decomposition import decompose
 from .homology import analyze, check_characteristic
 from .properties import PROPERTY_NAMES, full_report
 from .semigroup import AffineSemigroup, Vec, vkey, validate
-from .serialize import regularity_report_to_dict
 
 
 class SweepConfig(NamedTuple):
@@ -66,7 +65,7 @@ def random_simplicial_instance(rng: random.Random, dim: int, degree: int,
 def _analyze_instance(semigroup: AffineSemigroup, char: int) -> dict:
     dec = decompose(semigroup)
     props = full_report(semigroup, dec)
-    record = regularity_report_to_dict(analyze(semigroup, char, dec))
+    record = analyze(semigroup, char, dec)._asdict()
     del record["witnesses"]
     record["generators"] = [list(g) for g in semigroup.generators]
     record["properties"] = {name: getattr(props, name)

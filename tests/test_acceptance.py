@@ -223,8 +223,9 @@ def test_criterion_9_determinism(tmp_path):
                 "\n".join(" ".join(str(e) for e in g) for g in gens) + "\n")
             runs = []
             for _ in range(2):
+                verbose = ["--verbose"] if command == "analyze" else []
                 code, out = _capture(
-                    [command, "--input", str(path), "--json", "--verbose"])
+                    [command, "--input", str(path), "--json", *verbose])
                 assert code == 0
                 json.loads(out)  # well-formed
                 runs.append(out.encode())

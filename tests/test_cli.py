@@ -400,6 +400,16 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("usage error:")
 
+    @pytest.mark.parametrize("command", ["props", "reg", "eg"])
+    def test_verbose_is_usage_error_without_decomposition(self, command,
+                                                          tmp_path, capsys):
+        path = write_gens(tmp_path, SEC3_GENS)
+        code, out, err = run_cli(
+            [command, "--input", path, "--verbose", "--json"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:")
+
     def test_bad_characteristic_is_usage_like(self, tmp_path, capsys):
         path = write_gens(tmp_path, SEC3_GENS)
         code, out, err = run_cli(

@@ -57,17 +57,46 @@ class TestMatrixRank:
     def test_characteristic_validation(self):
         for char in (0, 2, 3, 101, 32003):
             check_characteristic(char)
-        # a float equal to a checked value is not answered from the cache,
-        # and every entry point rejects a float before any arithmetic
-        for bad in (1, 4, 6, -3, 9, 2.5, 3.0, 0.0, "3", None):
+        # only an int is a characteristic: not a float equal to one, not a
+        # bool, not a container; every entry point rejects them before any
+        # arithmetic
+        for bad in (1, 4, 6, -3, 9, 2.5, 3.0, 0.0, "3", None,
+                    False, True, [3], (3,)):
             with pytest.raises(InvalidCharacteristicError):
                 check_characteristic(bad)
         ideal = MonomialIdeal.from_gens(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        for call in (lambda: betti_ideal(ideal, 3.0),
-                     lambda: analyze(validate(SEC3_GENS), 32003.0),
-                     lambda: run_sweep(SweepConfig(3, 5, 4, 2, 0, 2.0))):
-            with pytest.raises(InvalidCharacteristicError, match="integer"):
-                call()
+        for bad in (3.0, False):
+            for call in (lambda: betti_ideal(ideal, bad),
+                         lambda: betti_multigraded(ideal, bad),
+                         lambda: analyze(validate(SEC3_GENS), bad),
+                         lambda: run_sweep(SweepConfig(3, 5, 4, 2, 0, bad))):
+                with pytest.raises(InvalidCharacteristicError,
+                                   match="integer"):
+                    call()
+
+    def test_characteristic_primality_is_exact(self):
+        # the accepted values below 2**20 are 0 and the primes, by a sieve
+        n = 1 << 20
+        sieve = bytearray([1]) * n
+        sieve[:2] = b"\0\0"
+        for p in range(2, 1 << 10):
+            if sieve[p]:
+                sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+        accepted = set()
+        for char in range(n):
+            try:
+                check_characteristic(char)
+            except InvalidCharacteristicError:
+                continue
+            accepted.add(char)
+        assert accepted == {0} | {p for p in range(n) if sieve[p]}
+        for prime in (2**31 - 1, 2**31 - 19):
+            check_characteristic(prime)
+        # 2**31 - 3; the Carmichael numbers 561 and 1105; strong
+        # pseudoprimes to base 2, to bases 2 and 3, and to 2, 3 and 5
+        for composite in (2**31 - 3, 561, 1105, 2047, 1373653, 25326001):
+            with pytest.raises(InvalidCharacteristicError, match="composite"):
+                check_characteristic(composite)
 
     def test_characteristic_limit(self):
         check_characteristic(2**31 - 1)  # prime, largest accepted
@@ -184,17 +213,25 @@ class TestAnalyze:
             with pytest.raises(InvalidCharacteristicError):
                 analyze(B, 4)
 
-    def test_characteristic_checked_once_per_value(self, sec3):
-        # a trial division per distinct valid characteristic, not one per
-        # distinct summand ideal; invalid values raise every time
-        check_characteristic.cache_clear()
-        for char in (2**31 - 1, 0, 2**31 - 1, 32003):
-            analyze(sec3, char)
-        assert check_characteristic.cache_info().misses == 3
-        for _ in range(2):
-            with pytest.raises(InvalidCharacteristicError):
-                analyze(sec3, 4)
-        assert check_characteristic.cache_info().currsize == 3
+    def test_characteristic_checked_once_per_call(self, sec3, monkeypatch):
+        # once per public call, not once per distinct summand ideal
+        calls = []
+        check = homology.check_characteristic
+
+        def counting(char):
+            calls.append(char)
+            check(char)
+
+        monkeypatch.setattr(homology, "check_characteristic", counting)
+        analyze(sec3, 2**31 - 1)
+        assert calls == [2**31 - 1]
+        calls.clear()
+        ideal = MonomialIdeal.from_gens(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
+        betti_ideal(ideal, 32003)
+        assert calls == [32003]
+        with pytest.raises(InvalidCharacteristicError):
+            analyze(sec3, 4)
+        assert calls == [32003, 4]
 
     def test_characteristic_independence_when_buchsbaum(self, sec3):
         r0 = analyze(sec3, 0)
